@@ -596,7 +596,14 @@ let run_opt_gate () =
       runs on the sparse engine while the dense engine cannot even
       allocate its statevector;
    4. wall clock — the auto selection beats the forced dense engine
-      on the randomized AND ladder. *)
+      on the randomized AND ladder;
+   5. exact-pick witness — on the narrow AND-7/2 ladder Auto picks the
+      exact engine, enumerating on the sparse representation; its
+      histogram equals the one sampled from the dense enumeration at the
+      same seed and agrees in law with forced dense (the exact engine
+      draws a shot from the alias sampler, not from per-measure draws,
+      so the two streams differ), and its wall clock beats forced
+      dense. *)
 
 let sparse_gate_json_path = "BENCH_sparse.json"
 
@@ -765,8 +772,56 @@ let run_sparse_gate () =
      dense %.1f ms (%.1fx)\n"
     shots (t_auto *. 1000.) (t_dense *. 1000.)
     (t_dense /. t_auto);
+  (* 5. exact-pick witness: AND-7/2 enumerated on the sparse engine *)
+  let narrow = and_ladder_dyn2 ~inputs:7 ~superposed:2 in
+  let collector_x, (sel_x, (h_x, t_x)) =
+    Obs.with_collector (fun () ->
+        let sel = Sim.Backend.select ~shots narrow in
+        (sel, time (fun () -> Sim.Backend.run ~seed:3 ~shots narrow)))
+  in
+  let h_xd, t_xd =
+    time (fun () -> Sim.Backend.run ~policy:dense ~seed:3 ~shots narrow)
+  in
+  let exact_sparse = Obs.Collector.counter collector_x "backend.exact.sparse" in
+  let dense_dist = Sim.Exact.Dense.register_distribution narrow in
+  let h_dense_enum =
+    let sampler = Sim.Dist.sampler dense_dist in
+    Sim.Parallel.run ~seed:3 ~width:(Circuit.Circ.num_bits narrow) ~shots
+      (fun ~rng ~index:_ -> Sim.Dist.sample sampler rng)
+  in
+  (* P(TV >= t) <= 2^support exp(-2 shots t^2): a bound an honest
+     sample of the exact law exceeds with probability below 1e-9 *)
+  let support = List.length (Sim.Dist.support dense_dist) in
+  let tv_bound =
+    sqrt
+      ((float_of_int support *. log 2. +. log 1e9) /. (2. *. float_of_int shots))
+  in
+  let tv = Sim.Dist.tv_distance (Sim.Runner.to_dist h_xd) dense_dist in
+  let in_support =
+    List.for_all
+      (fun (o, _) -> Sim.Dist.prob dense_dist o > 0.)
+      (Sim.Runner.to_list h_xd)
+  in
+  let exact_ok =
+    sel_x = `Exact
+    && Sim.Backend.exact_representation narrow = `Sparse
+    && exact_sparse = 1 && equal h_x h_dense_enum && in_support
+    && tv <= tv_bound && t_x < t_xd
+  in
+  Printf.printf
+    "exact pick: AND-7/2 rladder dyn2 x %d shots -> %s on the %s \
+     representation (backend.exact.sparse = %d), histogram = dense \
+     enumeration's %b, forced dense in support %b and TV %.3f <= %.3f, \
+     auto %.1f ms vs forced dense %.1f ms\n"
+    shots (engine_tag sel_x)
+    (match Sim.Backend.exact_representation narrow with
+    | `Sparse -> "sparse"
+    | `Dense -> "dense")
+    exact_sparse (equal h_x h_dense_enum) in_support tv tv_bound (t_x *. 1000.)
+    (t_xd *. 1000.);
   let ok =
     !mismatches = 0 && selection_ok && agree_ok && wide_ok && speedup_ok
+    && exact_ok
   in
   Printf.printf "sparse gate: %s\n" (if ok then "PASS" else "FAIL");
   if not ok then exit 1

@@ -682,7 +682,14 @@ let analyze_cmd =
           Printf.printf "auto backend (1024 shots): %s\n" selected;
           let plan = Sim.Backend.segment_plan c in
           Printf.printf "segment engine plan: %s\n"
-            (Sim.Backend.segment_plan_string plan)
+            (Sim.Backend.segment_plan_string plan);
+          Printf.printf "segment bounds (log2 body/peak): %s\n"
+            (String.concat ", "
+               (List.map
+                  (fun (g : Lint.Resource.segment) ->
+                    Printf.sprintf "%d/%d" g.Lint.Resource.log2_bound_body
+                      g.Lint.Resource.log2_bound_peak)
+                  summary.Lint.Resource.segments))
         end
   in
   Cmd.v

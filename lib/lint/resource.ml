@@ -8,6 +8,7 @@ type segment = {
   non_clifford : int;
   log2_bound_end : int;
   log2_bound_peak : int;
+  log2_bound_body : int;
   nondet : int;
 }
 
@@ -109,6 +110,14 @@ let analyze_body trace =
         and non_clifford = ref 0
         and nondet = ref 0
         and peak = ref (bound start) in
+        (* the body starts after the segment's opening measure/reset
+           run: what its gates see is the state that run collapsed *)
+        let body_start = ref start in
+        while !body_start < stop && is_collapse (Trace.instr trace !body_start)
+        do
+          incr body_start
+        done;
+        let body = ref (bound !body_start) in
         for i = start to stop - 1 do
           (match witness_at.(i) with
           | None -> ()
@@ -122,7 +131,8 @@ let analyze_body trace =
                   incr non_clifford;
                   clifford := false));
           nondet := !nondet + nondet_at i;
-          peak := max !peak (bound (i + 1))
+          peak := max !peak (bound (i + 1));
+          if i >= !body_start then body := max !body (bound (i + 1))
         done;
         {
           start;
@@ -132,6 +142,7 @@ let analyze_body trace =
           non_clifford = !non_clifford;
           log2_bound_end = bound stop;
           log2_bound_peak = !peak;
+          log2_bound_body = !body;
           nondet = !nondet;
         }
         :: segments rest
@@ -256,6 +267,7 @@ let segment_to_json s =
       ("non_clifford", Obs.Json.Int s.non_clifford);
       ("log2_bound_end", Obs.Json.Int s.log2_bound_end);
       ("log2_bound_peak", Obs.Json.Int s.log2_bound_peak);
+      ("log2_bound_body", Obs.Json.Int s.log2_bound_body);
       ("nondet", Obs.Json.Int s.nondet);
     ]
 
@@ -308,10 +320,11 @@ let pp fmt s =
   List.iter
     (fun seg ->
       Format.fprintf fmt
-        "@,  [%d,%d): %s, T %d, bound end %d peak %d, nondet %d" seg.start
-        seg.stop
+        "@,  [%d,%d): %s, T %d, bound end %d peak %d body %d, nondet %d"
+        seg.start seg.stop
         (if seg.clifford then "clifford" else "non-clifford")
-        seg.t_count seg.log2_bound_end seg.log2_bound_peak seg.nondet)
+        seg.t_count seg.log2_bound_end seg.log2_bound_peak seg.log2_bound_body
+        seg.nondet)
     s.segments;
   Format.fprintf fmt "@]"
 

@@ -30,6 +30,11 @@ type segment = {
       (** sound upper bound on log2(nonzero amplitudes) after the
           segment's last instruction *)
   log2_bound_peak : int;  (** the same bound, maximized over the segment *)
+  log2_bound_body : int;
+      (** the same bound, maximized over the segment's body: the states
+          after its opening measure/reset run (if any) collapsed them,
+          which is every state its gates act on — what an engine
+          replaying the segment pays per op.  [<= log2_bound_peak] *)
   nondet : int;
       (** measure/reset instructions whose outcome the analysis cannot
           pin — the segment's true branch points *)

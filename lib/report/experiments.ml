@@ -758,6 +758,7 @@ type sparsity_row = {
   segments : int;
   clifford : bool;
   log2_bound : int;
+  log2_bodies : int list;
   log2_measured : int;
   sound : bool;
   engine : string;  (** what [Sim.Backend.select Auto] picks *)
@@ -811,6 +812,10 @@ let sparsity_entry ~name ~scheme c =
     segments = List.length summary.Lint.Resource.segments;
     clifford = summary.Lint.Resource.clifford;
     log2_bound;
+    log2_bodies =
+      List.map
+        (fun (g : Lint.Resource.segment) -> g.Lint.Resource.log2_bound_body)
+        summary.Lint.Resource.segments;
     log2_measured;
     sound = log2_measured <= log2_bound;
     engine;
@@ -866,6 +871,7 @@ let sparsity_report () =
           string_of_int r.segments;
           string_of_bool r.clifford;
           string_of_int r.log2_bound;
+          String.concat "," (List.map string_of_int r.log2_bodies);
           string_of_int r.log2_measured;
           string_of_bool r.sound;
           r.engine;
@@ -880,7 +886,7 @@ let sparsity_report () =
     ~headers:
       [
         "Benchmark"; "scheme"; "qubits"; "segments"; "clifford"; "bound";
-        "measured"; "sound"; "auto engine"; "segment plan";
+        "segment bodies"; "measured"; "sound"; "auto engine"; "segment plan";
       ]
     ~rows ()
 

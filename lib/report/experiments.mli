@@ -188,6 +188,9 @@ type sparsity_row = {
   log2_bound : int;
       (** static peak bound on log2(nonzero amplitudes),
           {!Lint.Resource.summary.log2_bound_peak} *)
+  log2_bodies : int list;
+      (** per segment, the body bound the engine plan was made from
+          ({!Lint.Resource.segment.log2_bound_body}) *)
   log2_measured : int;
       (** ceil log2 of the peak nonzero-amplitude count observed while
           replaying the circuit densely over several seeds *)

@@ -101,9 +101,6 @@ module Prefix = struct
     if unitary = 0 then 1.0
     else float_of_int (List.length prefix) /. float_of_int unitary
 
-  (* the prefix consumes no randomness: measure/reset never appear in it *)
-  let no_random () = assert false
-
   (* The cache keys on compiled program segments: the whole circuit is
      lowered once (through the per-circuit memo) and split at the first
      measure/reset op (the same boundary as the instruction-level
@@ -115,7 +112,7 @@ module Prefix = struct
         let program = compiled c in
         let prefix_program, suffix_program = Program.split_prefix program in
         let st = Program.fresh_state program in
-        Program.exec ~random:no_random st prefix_program;
+        Program.exec ~random:Program.no_random st prefix_program;
         Obs.set_gauge "backend.prefix.fraction" (fraction c);
         if Obs.Flight.enabled () then
           Obs.Flight.record ~kind:"backend.prefix.prepared"
@@ -181,10 +178,13 @@ let sparse_margin = 6
    and the dense kernels' linear scans win on locality. *)
 let sparse_log2_cap = 16
 
+(* A segment is charged its body bound: when it opens with a
+   measure/reset run, only that run sees the superposition it enters
+   with, and every later op sees the collapsed state. *)
 let sparse_worthwhile ~n (g : Lint.Resource.segment) =
   n > Statevector.max_qubits
-  || (g.Lint.Resource.log2_bound_peak <= sparse_log2_cap
-     && n - g.Lint.Resource.log2_bound_peak >= sparse_margin)
+  || (g.Lint.Resource.log2_bound_body <= sparse_log2_cap
+     && n - g.Lint.Resource.log2_bound_body >= sparse_margin)
 
 type segment_engine = {
   seg_start : int;
@@ -203,10 +203,19 @@ let segment_plan c =
         seg_start = g.Lint.Resource.start;
         seg_stop = g.Lint.Resource.stop;
         seg_engine = (if sparse_worthwhile ~n g then `Sparse else `Dense);
-        seg_log2_bound = g.Lint.Resource.log2_bound_peak;
+        seg_log2_bound = g.Lint.Resource.log2_bound_body;
         seg_clifford = g.Lint.Resource.clifford;
       })
     s.Lint.Resource.segments
+
+(* The exact enumerator runs on the representation the plan would run
+   shots on: sparse when every segment is, dense otherwise (a mixed
+   plan has a segment whose states are too full for the hash table). *)
+let exact_representation c =
+  let plan = segment_plan c in
+  if plan <> [] && List.for_all (fun p -> p.seg_engine = `Sparse) plan then
+    `Sparse
+  else `Dense
 
 let segment_plan_string plan =
   String.concat ","
@@ -296,9 +305,6 @@ let engine_name = function
 (* ------------------------------------------------------------------ *)
 (* Sparse and hybrid dispatch                                         *)
 
-(* the prefix segment consumes no randomness (same as Prefix above) *)
-let no_random_sparse () = assert false
-
 (* Sparse twin of the dense prefix-cached dispatch: execute the
    deterministic compiled prefix once on the sparse engine, replay
    only the suffix per shot. *)
@@ -309,7 +315,7 @@ let run_sparse ?domains ~seed ~width ~shots ~prefix_cache base =
     let cached =
       Sparse.create (Circ.num_qubits base) ~num_bits:(Circ.num_bits base)
     in
-    Sparse.exec ~random:no_random_sparse cached prefix_program;
+    Sparse.exec ~random:Program.no_random cached prefix_program;
     Obs.incr ~n:shots "backend.prefix.hit";
     Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->
         let st = Sparse.copy cached in
@@ -375,7 +381,7 @@ let run_hybrid ?domains ~seed ~width ~shots base =
       when Program.length (snd (Program.split_prefix prog0))
            = 0 ->
         let h = hconvert (fresh ()) tag in
-        hexec ~random:no_random_sparse h prog0;
+        hexec ~random:Program.no_random h prog0;
         (h, rest)
     | (_, _) :: _ | [] -> (fresh (), segs)
   in
@@ -405,6 +411,14 @@ let run_hybrid ?domains ~seed ~width ~shots base =
         ("segments", Obs.Json.String (segment_plan_string plan));
         ("handoffs_per_shot", Obs.Json.Int (d2s + s2d));
       ];
+  (* a shot's private state: when the first per-shot segment runs on
+     the other engine, the conversion reads the cached state without
+     mutating it, so it doubles as the copy *)
+  let shot_state =
+    match per_shot_segs with
+    | (tag, _) :: _ when tag <> cached_tag -> fun () -> hconvert cached tag
+    | _ -> fun () -> hcopy cached
+  in
   Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->
       let random () = Random.State.float rng 1.0 in
       let h =
@@ -413,7 +427,7 @@ let run_hybrid ?domains ~seed ~width ~shots base =
             let h = hconvert h tag in
             hexec ~random h prog;
             h)
-          (hcopy cached) per_shot_segs
+          (shot_state ()) per_shot_segs
       in
       hregister h)
 
@@ -438,15 +452,27 @@ let run ?policy ?(seed = Runner.default_seed) ?domains ?plan
   in
   let base = instrument c in
   let width = Circ.num_bits base in
+  (* planned on the un-instrumented circuit, like the selection: the
+     plan's terminal measurements never widen the amplitude set *)
+  let exact_repr =
+    match engine with
+    | `Exact -> Some (exact_representation c)
+    | `Stabilizer | `Dense | `Sparse | `Hybrid -> None
+  in
   if Obs.Flight.enabled () then
     Obs.Flight.record ~kind:"backend.run"
-      [
-        ("engine", Obs.Json.String (engine_name engine));
-        ("seed", Obs.Json.Int seed);
-        ("shots", Obs.Json.Int shots);
-        ("qubits", Obs.Json.Int (Circ.num_qubits base));
-        ("prefix_cache", Obs.Json.Bool prefix_cache);
-      ];
+      ([
+         ("engine", Obs.Json.String (engine_name engine));
+         ("seed", Obs.Json.Int seed);
+         ("shots", Obs.Json.Int shots);
+         ("qubits", Obs.Json.Int (Circ.num_qubits base));
+         ("prefix_cache", Obs.Json.Bool prefix_cache);
+       ]
+      @
+      match exact_repr with
+      | Some `Dense -> [ ("exact_repr", Obs.Json.String "dense") ]
+      | Some `Sparse -> [ ("exact_repr", Obs.Json.String "sparse") ]
+      | None -> []);
   let dispatch_inner () =
     match engine with
     | `Stabilizer ->
@@ -461,7 +487,16 @@ let run ?policy ?(seed = Runner.default_seed) ?domains ?plan
         Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->
             Stabilizer.register (Stabilizer.run ~rng cs))
     | `Exact ->
-        let sampler = Dist.sampler (Exact.register_distribution base) in
+        let dist =
+          match exact_repr with
+          | Some `Sparse ->
+              Obs.incr "backend.exact.sparse";
+              Exact.Sparse.register_distribution base
+          | Some `Dense | None ->
+              Obs.incr "backend.exact.dense";
+              Exact.Dense.register_distribution base
+        in
+        let sampler = Dist.sampler dist in
         Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->
             Dist.sample sampler rng)
     | `Dense ->

@@ -17,8 +17,10 @@ open Circuit
     - {e stabilizer} — CHP tableau when the circuit is Clifford
       ({!Stabilizer.supports}); scales to hundreds of qubits;
     - {e exact branch} — when the measurement/reset count is small the
-      exact branching distribution ({!Exact}) is computed once and
-      shots are drawn from it with the O(1) alias sampler.
+      exact branching distribution ({!Exact}) is computed once — on
+      the sparse engine when every planned segment is sparse, densely
+      otherwise — and shots are drawn from it with the O(1) alias
+      sampler.
 
     [Auto] additionally plans {e per segment} (see {!segment_plan}):
     when the analyzer proves only part of the circuit basis-sparse,
@@ -105,16 +107,20 @@ val resource_summary : Circ.t -> Lint.Resource.summary
     starts at every measure/reset following a non-measure/reset, the
     same boundary {!Program.split_prefix} cuts at) each carry a
     certified [log2] bound on reachable nonzero amplitudes.  A segment
-    is planned sparse when that bound leaves a comfortable margin
-    under the dense dimension — or unconditionally past the dense
-    qubit cap, where sparse is the only statevector that fits. *)
+    is charged its body bound — the states after its opening
+    measure/reset run, which are the ones its gates act on — and is
+    planned sparse when that bound leaves a comfortable margin under
+    the dense dimension, or unconditionally past the dense qubit cap,
+    where sparse is the only statevector that fits. *)
 
 type segment_engine = {
   seg_start : int;  (** first instruction index of the segment *)
   seg_stop : int;  (** one past the last instruction index *)
   seg_engine : [ `Dense | `Sparse ];
   seg_log2_bound : int;
-      (** the analyzer's certified peak [log2] nonzero-amplitude bound *)
+      (** the analyzer's certified [log2] nonzero-amplitude bound over
+          the segment's body ({!Lint.Resource.segment.log2_bound_body})
+          — the bound its engine was picked by *)
   seg_clifford : bool;
 }
 
@@ -122,6 +128,13 @@ type segment_engine = {
     [`Sparse] (all segments sparse) or [`Hybrid] (mixed).  Reported by
     [dqc_cli analyze] and the sparsity experiment. *)
 val segment_plan : Circ.t -> segment_engine list
+
+(** The representation the exact-branch backend enumerates on:
+    [`Sparse] when every {!segment_plan} segment is sparse, [`Dense]
+    otherwise.  A dispatch bumps [backend.exact.<dense|sparse>] and
+    records it as the [exact_repr] field of the [backend.run] flight
+    event. *)
+val exact_representation : Circ.t -> [ `Dense | `Sparse ]
 
 (** ["dense,sparse,..."] — the plan's engines, comma-joined. *)
 val segment_plan_string : segment_engine list -> string

@@ -6,18 +6,48 @@ open Circuit
     (the paper uses AER with 1024 shots) converges to, computed without
     sampling noise — the basis of the functional-equivalence checks. *)
 
-(** A leaf of the branching execution. *)
-type leaf = {
+(** A leaf of the branching execution, holding the engine's state. *)
+type 's branch = {
   probability : float;
   register : int;  (** classical register at the end *)
-  state : Statevector.t;  (** final (normalized) quantum state *)
+  state : 's;  (** final (normalized) quantum state *)
 }
 
-(** All leaves with probability above [prune] (default 1e-12).
+(** A leaf of the dense enumeration. *)
+type leaf = Statevector.t branch
+
+(** The enumerator, over any {!Engine.S}: a depth-first walk of the
+    compiled program that forks at every measure/reset into the
+    outcomes whose Born probability (times the path's) exceeds
+    [prune] (default 1e-12).  It holds at most one state per open
+    fork, so memory grows with the branching depth, not the leaf
+    count.  Each leaf bumps [sim.exact.leaves]; the walk runs under an
+    [exact.enumerate] span with [qubits] and [engine] attributes.
+    The engines mirror each other's kernels, so dense and sparse
+    enumerations agree to rounding noise. *)
+module Make (E : Engine.S) : sig
+  (** All leaves, in depth-first order.
+      @raise Invalid_argument when [prune] is negative or NaN. *)
+  val leaves : ?prune:float -> Circ.t -> E.state branch list
+
+  (** Exact distribution over the classical register.  Streams: each
+      leaf's state is dropped once its register is read. *)
+  val register_distribution : ?prune:float -> Circ.t -> Dist.t
+end
+
+(** The dense instance ([2^n] amplitudes per live state). *)
+module Dense : module type of Make (Statevector.Dense_engine)
+
+(** The sparse instance (memory per nonzero amplitude) — what
+    {!Backend} enumerates on when every analyzer segment plans
+    sparse. *)
+module Sparse : module type of Make (Sparse.Sparse_engine)
+
+(** [Dense.leaves].
     @raise Invalid_argument when [prune] is negative or NaN. *)
 val leaves : ?prune:float -> Circ.t -> leaf list
 
-(** Exact distribution over the classical register. *)
+(** [Dense.register_distribution]. *)
 val register_distribution : ?prune:float -> Circ.t -> Dist.t
 
 (** [plan_distribution ~plan c] instruments [c] with the plan's

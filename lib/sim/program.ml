@@ -489,6 +489,14 @@ let exec ~random st t =
     else exec_plain ~random st t.ops
   end
 
+exception Unexpected_randomness
+
+(* The [random] source for replays that must not branch: a program
+   prefix cut by [split_prefix], a unitary-only program, a single
+   unitary op.  Reaching it means a measure/reset op got into such a
+   replay — a caller bug, reported as a typed error. *)
+let no_random () = raise Unexpected_randomness
+
 let fresh_state t = State.create t.n ~num_bits:t.num_bits
 
 let run ~rng t =

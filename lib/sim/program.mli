@@ -75,6 +75,16 @@ val apply : State.t -> op -> unit
     consulted by measure/reset ops only, in source order. *)
 val exec : random:(unit -> float) -> State.t -> t -> unit
 
+(** Raised by {!no_random}. *)
+exception Unexpected_randomness
+
+(** [no_random ()] raises {!Unexpected_randomness}.  It is the
+    [random] source to pass to {!exec} (or an engine's [exec]) for a
+    replay that consumes no randomness — the deterministic prefix of
+    {!split_prefix}, a unitary-only program — so that a measure/reset
+    op reaching such a replay surfaces as a typed error. *)
+val no_random : unit -> float
+
 (** A fresh |0...0> state with the program's shape. *)
 val fresh_state : t -> State.t
 

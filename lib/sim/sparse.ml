@@ -343,15 +343,13 @@ let exec ~random st program =
   done;
   if Obs.enabled () then Obs.incr ~n:(Array.length plan) "sim.sparse.ops"
 
-let no_random () = assert false
-
 let apply st op =
   match Program.kernel op with
   | Program.Kmeasure _ | Program.Kreset _ ->
       invalid_arg "Sparse.apply: branching op"
   | ( Program.Kx _ | Program.Kh _ | Program.Kphase _ | Program.Kdiag _
     | Program.Ku2 _ | Program.Kcond _ ) as k ->
-      exec_kernel ~random:no_random st k
+      exec_kernel ~random:Program.no_random st k
 
 let run ~rng program =
   let st =
@@ -375,16 +373,32 @@ let to_state st =
   State.set_register d st.reg;
   d
 
+(* Sized by a counting pass first: the hybrid executor converts once
+   per shot, and growing the slot arrays and the table entry by entry
+   costs more than the extra 2^n scan. *)
 let of_state d =
-  let st = create (State.num_qubits d) ~num_bits:(State.num_bits d) in
-  st.size <- 0;
-  Hashtbl.reset st.tbl;
   let v = State.raw d in
   let re = Linalg.Cvec.re v and im = Linalg.Cvec.im v in
+  let nz = ref 0 in
+  for k = 0 to Array.length re - 1 do
+    if re.(k) <> 0. || im.(k) <> 0. then incr nz
+  done;
+  let cap = max 16 !nz in
+  let st =
+    {
+      n = State.num_qubits d;
+      nbits = State.num_bits d;
+      reg = State.register d;
+      size = 0;
+      idx = Array.make cap 0;
+      re = Array.make cap 0.;
+      im = Array.make cap 0.;
+      tbl = Hashtbl.create (2 * cap);
+    }
+  in
   for k = 0 to Array.length re - 1 do
     if re.(k) <> 0. || im.(k) <> 0. then add_entry st k re.(k) im.(k)
   done;
-  st.reg <- State.register d;
   st
 
 let probabilities st =

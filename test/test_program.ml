@@ -222,6 +222,21 @@ let test_split_prefix () =
   check_int "prefix = the H" 1 (Sim.Program.length prefix);
   check_int "suffix = measure + X" 2 (Sim.Program.length suffix)
 
+(* A replay that must not branch draws from [no_random]: a measure op
+   reaching it is a typed error, on every engine. *)
+let test_no_random_typed () =
+  let p =
+    Sim.Program.compile
+      (circuit_of ~n:1 ~num_bits:1 [ Instruction.Measure { qubit = 0; bit = 0 } ])
+  in
+  Alcotest.check_raises "dense" Sim.Program.Unexpected_randomness (fun () ->
+      Sim.Program.exec ~random:Sim.Program.no_random
+        (Sim.Program.fresh_state p) p);
+  Alcotest.check_raises "sparse" Sim.Program.Unexpected_randomness (fun () ->
+      Sim.Sparse.exec ~random:Sim.Program.no_random
+        (Sim.Sparse.create 1 ~num_bits:1)
+        p)
+
 (* ------------------------------------------------------------------ *)
 (* Default-seed contract (shared constant across engines)             *)
 
@@ -271,6 +286,8 @@ let () =
           Alcotest.test_case "plain barrier" `Quick
             test_plain_barrier_flushes_but_vanishes;
           Alcotest.test_case "split at first branch" `Quick test_split_prefix;
+          Alcotest.test_case "no_random is a typed error" `Quick
+            test_no_random_typed;
         ] );
       ( "seed",
         [ Alcotest.test_case "default-seed contract" `Quick test_default_seed ] );

@@ -215,9 +215,271 @@ let test_conversions_roundtrip () =
     check_bool (Printf.sprintf "roundtrip %d" k) true !ok
   done
 
+(* ------------------------------------------------------------------ *)
+(* Exact branch enumeration on the sparse representation               *)
+
+(* A Table-I-style AND network under the dyn2 substitution: inputs
+   0..k-1, ladder ancillas k..2k-3.  The first [superposed] inputs are
+   H-prepared and measured mid-circuit into bits 1..superposed, the
+   rest X-prepared; the AND of all inputs is measured into bit 0. *)
+let and_ladder ~inputs ~superposed =
+  let k = inputs and h = superposed in
+  let nq = (2 * k) - 1 in
+  let b =
+    Circ.Builder.make ~roles:(Array.make nq Circ.Data) ~num_bits:(h + 1) ()
+  in
+  for q = 0 to h - 1 do
+    Circ.Builder.h b q
+  done;
+  for q = h to k - 1 do
+    Circ.Builder.x b q
+  done;
+  for q = 0 to h - 1 do
+    Circ.Builder.measure b ~qubit:q ~bit:(q + 1)
+  done;
+  Circ.Builder.ccx b 0 1 k;
+  for j = 1 to k - 2 do
+    Circ.Builder.ccx b (k + j - 1) (j + 1) (k + j)
+  done;
+  Circ.Builder.measure b ~qubit:(nq - 1) ~bit:0;
+  Dqc.Toffoli_scheme.prepare Dqc.Toffoli_scheme.Dynamic_2 (Circ.Builder.build b)
+
+(* Mixed sparsity: 12 qubits in uniform superposition measured up
+   front, then a basis Toffoli with measure / reset / feed-forward on
+   the other 3. *)
+let hybrid_witness () =
+  let b = Circ.Builder.make ~roles:(Array.make 15 Circ.Data) ~num_bits:13 () in
+  for q = 0 to 11 do
+    Circ.Builder.h b q
+  done;
+  for q = 0 to 11 do
+    Circ.Builder.measure b ~qubit:q ~bit:(q + 1)
+  done;
+  Circ.Builder.x b 12;
+  Circ.Builder.x b 13;
+  Circ.Builder.ccx b 12 13 14;
+  Circ.Builder.measure b ~qubit:14 ~bit:0;
+  Circ.Builder.reset b 14;
+  Circ.Builder.conditioned b ~bit:0 Gate.X 14;
+  Circ.Builder.measure b ~qubit:14 ~bit:0;
+  Dqc.Toffoli_scheme.prepare Dqc.Toffoli_scheme.Dynamic_2 (Circ.Builder.build b)
+
+(* The narrow ladders Auto routes to the exact engine. *)
+let exact_ladders =
+  [ (5, 0); (5, 3); (5, 5); (6, 1); (6, 3); (7, 0); (7, 2) ]
+
+let ladder_name (inputs, superposed) =
+  Printf.sprintf "AND-%d/%d" inputs superposed
+
+let check_exact_agree msg c =
+  let dense = Sim.Exact.Dense.register_distribution c
+  and sparse = Sim.Exact.Sparse.register_distribution c in
+  check_bool (msg ^ ": |dense - sparse| <= 1e-12") true
+    (Sim.Dist.approx_equal ~eps:1e-12 dense sparse)
+
+let test_exact_sparse_random_circuits () =
+  let rng = Random.State.make [| 0x5AB5E |] in
+  for k = 0 to 219 do
+    check_exact_agree
+      (Printf.sprintf "random circuit %d" k)
+      (random_dynamic_circuit rng)
+  done
+
+let test_exact_sparse_ladders () =
+  List.iter
+    (fun l ->
+      let inputs, superposed = l in
+      check_exact_agree (ladder_name l) (and_ladder ~inputs ~superposed))
+    exact_ladders
+
+let test_exact_sparse_leaves () =
+  let c = and_ladder ~inputs:5 ~superposed:3 in
+  let dense = Sim.Exact.Dense.leaves c and sparse = Sim.Exact.Sparse.leaves c in
+  check_int "same leaf count" (List.length dense) (List.length sparse);
+  List.iter2
+    (fun (d : Sim.Exact.leaf) (s : Sim.Sparse.t Sim.Exact.branch) ->
+      check_int "same register, in the same order" d.register s.register;
+      check_bool "same probability" true
+        (abs_float (d.probability -. s.probability) <= 1e-12);
+      check_bool "basis-sparse leaf" true (Sim.Sparse.nnz s.state <= 4))
+    dense sparse
+
+(* Auto picks the exact engine on the narrow ladders, and enumerates on
+   the sparse representation: every planned segment is sparse. *)
+let test_ladders_select_exact_sparse () =
+  List.iter
+    (fun l ->
+      let inputs, superposed = l in
+      let c = and_ladder ~inputs ~superposed in
+      let name = ladder_name l in
+      (match Sim.Backend.select ~shots:256 c with
+      | `Exact -> ()
+      | `Dense | `Sparse | `Hybrid | `Stabilizer ->
+          Alcotest.failf "%s: expected the exact engine" name);
+      (match Sim.Backend.exact_representation c with
+      | `Sparse -> ()
+      | `Dense -> Alcotest.failf "%s: expected the sparse representation" name);
+      let flight, (collector, _) =
+        Obs.Flight.with_recorder (fun () ->
+            Obs.with_collector (fun () -> Sim.Backend.run ~seed:3 ~shots:256 c))
+      in
+      check_int (name ^ ": backend.exact.sparse") 1
+        (Obs.Collector.counter collector "backend.exact.sparse");
+      check_int (name ^ ": backend.exact.dense") 0
+        (Obs.Collector.counter collector "backend.exact.dense");
+      check_bool (name ^ ": backend.run flight event exact_repr") true
+        (List.exists
+           (fun (e : Obs.Flight.event) ->
+             e.kind = "backend.run"
+             && List.assoc_opt "exact_repr" e.data
+                = Some (Obs.Json.String "sparse"))
+           (Obs.Flight.events flight)))
+    exact_ladders
+
+(* The witness opens its second segment with 12 measurements of a
+   uniform superposition.  Charged at the body bound (the state those
+   measurements leave), that segment plans sparse; only the
+   superposing prefix stays dense. *)
+let test_hybrid_witness_plan () =
+  let c = hybrid_witness () in
+  Alcotest.(check string)
+    "segment plan" "dense,sparse,sparse,sparse"
+    (Sim.Backend.segment_plan_string (Sim.Backend.segment_plan c));
+  (match Sim.Backend.select ~shots:64 c with
+  | `Hybrid -> ()
+  | `Dense | `Sparse | `Exact | `Stabilizer ->
+      Alcotest.fail "expected the hybrid executor");
+  let collector, auto =
+    Obs.with_collector (fun () -> Sim.Backend.run ~seed:3 ~shots:64 c)
+  in
+  check_int "one dense->sparse handoff per shot" 64
+    (Obs.Collector.counter collector "backend.handoff.dense_to_sparse");
+  let dense =
+    Sim.Backend.run ~policy:Sim.Backend.Statevector_dense ~seed:3 ~shots:64 c
+  in
+  check_hist "auto = forced dense" auto dense
+
+(* Body bounds never exceed peaks, and a segment opening with a
+   collapse run is charged the collapsed state. *)
+let test_body_bounds () =
+  let s = Lint.Resource.analyze (hybrid_witness ()) in
+  List.iter
+    (fun (g : Lint.Resource.segment) ->
+      check_bool "body <= peak" true
+        (g.Lint.Resource.log2_bound_body <= g.Lint.Resource.log2_bound_peak))
+    s.Lint.Resource.segments;
+  match s.Lint.Resource.segments with
+  | _ :: g :: _ ->
+      check_int "collapse-opened segment peak" 12 g.Lint.Resource.log2_bound_peak;
+      check_bool "collapse-opened segment body" true
+        (g.Lint.Resource.log2_bound_body <= 1)
+  | [] | [ _ ] -> Alcotest.fail "expected at least two segments"
+
+(* Body bounds are sound: replaying densely, every state from the end
+   of a segment's opening collapse run to the segment's end has at most
+   2^body nonzero amplitudes. *)
+let test_body_bounds_sound () =
+  let rng = Random.State.make [| 0x5AB5E |] in
+  for k = 0 to 199 do
+    let c = random_dynamic_circuit rng in
+    let instrs = Array.of_list (Circ.instructions c) in
+    let is_collapse i =
+      match instrs.(i) with
+      | Instruction.Measure _ | Instruction.Reset _ -> true
+      | Instruction.Unitary _ | Instruction.Conditioned _
+      | Instruction.Barrier _ ->
+          false
+    in
+    (* body_bound.(i): the bound the state after instruction [i] must
+       meet, when that state is inside some segment's body *)
+    let body_bound = Array.make (Array.length instrs) None in
+    List.iter
+      (fun (g : Lint.Resource.segment) ->
+        let b = ref g.Lint.Resource.start in
+        while !b < g.Lint.Resource.stop && is_collapse !b do
+          incr b
+        done;
+        for i = max 0 (!b - 1) to g.Lint.Resource.stop - 1 do
+          body_bound.(i) <- Some g.Lint.Resource.log2_bound_body
+        done)
+      (Lint.Resource.analyze c).Lint.Resource.segments;
+    let nq = Circ.num_qubits c and nb = Circ.num_bits c in
+    List.iter
+      (fun seed ->
+        let rng = Random.State.make [| seed |] in
+        let random () = Random.State.float rng 1.0 in
+        let st = Sim.State.create nq ~num_bits:nb in
+        Array.iteri
+          (fun i instr ->
+            Sim.Program.exec ~random st
+              (Sim.Program.compile_instructions ~fuse:false ~num_qubits:nq
+                 ~num_bits:nb [ instr ]);
+            match body_bound.(i) with
+            | None -> ()
+            | Some b ->
+                let v = Sim.State.amplitudes st in
+                let nz = ref 0 in
+                for j = 0 to Linalg.Cvec.dim v - 1 do
+                  if Complex.norm2 (Linalg.Cvec.get v j) > 1e-18 then incr nz
+                done;
+                if !nz > 1 lsl b then
+                  Alcotest.failf
+                    "circuit %d, seed %d: %d nonzeros after instruction %d, \
+                     body bound 2^%d"
+                    k seed !nz i b)
+          instrs)
+      [ 1; 7 ]
+  done
+
+(* The distribution path keeps one state per open fork, not one per
+   leaf: 10 superposed measurements on 14 qubits give 1024 leaves of
+   256 KB each (268 MB if all were kept), against 11 live states. *)
+let test_streaming_heap_top () =
+  let n = 14 and measured = 10 in
+  let b =
+    Circ.Builder.make ~roles:(Array.make n Circ.Data) ~num_bits:measured ()
+  in
+  for q = 0 to measured - 1 do
+    Circ.Builder.h b q
+  done;
+  for q = 0 to measured - 1 do
+    Circ.Builder.measure b ~qubit:q ~bit:q
+  done;
+  let c = Circ.Builder.build b in
+  Gc.compact ();
+  let top_bytes () = (Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8) in
+  let before = top_bytes () in
+  let d = Sim.Exact.register_distribution c in
+  let grown_mb = float_of_int (top_bytes () - before) /. 1e6 in
+  check_int "1024 outcomes" 1024 (List.length (Sim.Dist.to_list d));
+  check_bool
+    (Printf.sprintf "heap top grew %.1f MB (< 64 MB)" grown_mb)
+    true (grown_mb < 64.)
+
 let () =
   Alcotest.run "sparse"
     [
+      (* first, so the heap top it reads is not an earlier test's *)
+      ( "exact streaming",
+        [
+          Alcotest.test_case "heap top" `Quick test_streaming_heap_top;
+        ] );
+      ( "exact on sparse",
+        [
+          Alcotest.test_case "220 random dynamic circuits" `Quick
+            test_exact_sparse_random_circuits;
+          Alcotest.test_case "AND ladders" `Quick test_exact_sparse_ladders;
+          Alcotest.test_case "leaves" `Quick test_exact_sparse_leaves;
+          Alcotest.test_case "ladders select exact on sparse" `Quick
+            test_ladders_select_exact_sparse;
+        ] );
+      ( "hybrid plan",
+        [
+          Alcotest.test_case "body bounds" `Quick test_body_bounds;
+          Alcotest.test_case "body bounds sound" `Quick test_body_bounds_sound;
+          Alcotest.test_case "witness plan and histogram" `Quick
+            test_hybrid_witness_plan;
+        ] );
       ( "differential",
         [
           Alcotest.test_case "220 random dynamic circuits" `Slow
