@@ -131,8 +131,9 @@ opt-gate:
 # (sparse on the basis-sparse dyn2 AND ladder, hybrid with per-shot
 # handoffs on the mixed-sparsity workload, counters in
 # BENCH_sparse.json), a >= 28-qubit basis-sparse run the dense engine
-# cannot allocate, the auto-vs-forced-dense wall-clock win, and the
-# exact-pick witness (AND-7/2: exact enumerated on the sparse engine).
+# cannot allocate, the auto-vs-forced-dense wall-clock win, the
+# exact-pick witness (AND-7/2: exact enumerated on the sparse engine)
+# and the hybrid witness's auto-vs-forced-dense wall-clock win.
 sparse-gate:
 	OCAMLRUNPARAM=b dune exec bench/main.exe -- sparse-gate
 

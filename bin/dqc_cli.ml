@@ -495,12 +495,7 @@ let stats_cmd =
             name
             (Dqc.Toffoli_scheme.to_string scheme)
             shots out.qubits out.gates out.depth;
-          (match out.tv with
-          | Some tv ->
-              Printf.printf "equivalence: %s TV distance %.6f\n"
-                (if out.tv_sampled then "sampled" else "exact")
-                tv
-          | None -> print_string "equivalence: check skipped\n");
+          print_endline (Dqc.Pipeline.equivalence_line out);
           Printf.printf "histogram: %d shots over %d distinct outcomes\n\n"
             (Sim.Runner.shots h)
             (List.length (Sim.Runner.to_list h));

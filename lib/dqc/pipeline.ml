@@ -539,20 +539,26 @@ let compile ?(options = Options.default) traditional =
   Obs.flush ();
   output
 
+let equivalence_line o =
+  let tv =
+    Option.map
+      (Printf.sprintf "%s TV distance %.6f"
+         (if o.tv_sampled then "sampled" else "exact"))
+      o.tv
+  in
+  match (o.certified, tv) with
+  | true, None -> "equivalence: proved by the symbolic certifier"
+  | true, Some tv -> "equivalence: proved by the symbolic certifier; " ^ tv
+  | false, Some tv -> "equivalence: " ^ tv
+  | false, None -> "equivalence: check skipped"
+
 let pp fmt o =
   Format.fprintf fmt
     "@[<v>qubits: %d, gates: %d, depth: %d, duration: %.2f us@,\
      iterations: %d, unsound reorderings: %d@,%s@,%s"
     o.qubits o.gates o.depth
     (o.duration_ns /. 1000.)
-    o.iterations o.violations
-    (if o.certified then "equivalence: certified symbolically (exact proof)"
-     else
-       match o.tv with
-       | Some tv when o.tv_sampled ->
-           Printf.sprintf "sampled TV distance: %.6f" tv
-       | Some tv -> Printf.sprintf "exact TV distance: %.6f" tv
-       | None -> "equivalence check skipped")
+    o.iterations o.violations (equivalence_line o)
     (match o.lint with
     | Some r -> "lint: " ^ Lint.summary r
     | None -> "lint: skipped");

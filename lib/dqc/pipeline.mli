@@ -176,5 +176,11 @@ type output = {
     refutes the rewiring. *)
 val compile : ?options:Options.t -> Circ.t -> output
 
+(** The equivalence evidence as one line: the certifier's proof when
+    [certified], the exact or sampled TV distance when [tv] is set
+    (both when both are), "check skipped" otherwise.  {!pp} and
+    [dqc_cli stats] print it. *)
+val equivalence_line : output -> string
+
 val pp : Format.formatter -> output -> unit
 val to_string : output -> string

@@ -8,7 +8,7 @@ open Circuit
    Instances:
    - [Statevector.Dense_engine] — the dense SoA amplitudes ([State]),
      executing through the compiled kernels ([Program]);
-   - [Sparse.Engine] — the hash-map basis-amplitude statevector, for
+   - [Sparse.Engine] — the flat-indexed basis-amplitude statevector, for
      workloads whose reachable state stays near the computational
      basis (the dyn2 dynamic circuits of the paper).
 

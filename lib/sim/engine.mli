@@ -12,8 +12,9 @@ open Circuit
     {!S.apply_kraus1}).
 
     Instances: {!Statevector.Dense_engine} (dense SoA amplitudes,
-    capped at {!State.max_qubits}) and {!Sparse.Sparse_engine} (hash-map
-    basis-amplitude storage, memory per {e nonzero} amplitude).
+    capped at {!State.max_qubits}) and {!Sparse.Sparse_engine} (flat
+    basis-amplitude slots behind an open-addressed index, memory per
+    {e nonzero} amplitude).
     {!Backend} picks between them — per whole circuit or per
     analyzer segment (hybrid execution) — and {!Runner} / {!Noise}
     accept any instance through their [?engine] parameter.

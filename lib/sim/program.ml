@@ -39,10 +39,43 @@ type op =
   | Rk of int
   | Ck of { mask : int; value : int; body : op }
 
+(* The arithmetic content of an op, without the dense iteration plan:
+   what a non-dense engine replays (see [Sparse]).  Lowered once per
+   program, in [compile_instructions]. *)
+type kernel =
+  | Kx of { bit : int; cmask : int }
+  | Kh of { bit : int; cmask : int }
+  | Kphase of { bit : int; cmask : int; re1 : float; im1 : float }
+  | Kdiag of {
+      bit : int;
+      cmask : int;
+      re0 : float;
+      im0 : float;
+      re1 : float;
+      im1 : float;
+    }
+  | Ku2 of { bit : int; cmask : int; m : float array }
+  | Kmeasure of { qubit : int; bit : int }
+  | Kreset of int
+  | Kcond of { mask : int; value : int; body : kernel }
+
+let rec kernel_of_op = function
+  | Xk p -> Kx { bit = p.bit; cmask = p.cmask }
+  | Hk p -> Kh { bit = p.bit; cmask = p.cmask }
+  | Phasek { p; re1; im1 } -> Kphase { bit = p.bit; cmask = p.cmask; re1; im1 }
+  | Diagk { p; re0; im0; re1; im1 } ->
+      Kdiag { bit = p.bit; cmask = p.cmask; re0; im0; re1; im1 }
+  | U2k { p; m } -> Ku2 { bit = p.bit; cmask = p.cmask; m }
+  | Mk { qubit; bit } -> Kmeasure { qubit; bit }
+  | Rk q -> Kreset q
+  | Ck { mask; value; body } ->
+      Kcond { mask; value; body = kernel_of_op body }
+
 type t = {
   n : int;
   num_bits : int;
   ops : op array;
+  kernels : kernel array;  (* [kernel_of_op] of each op, same order *)
   source_gates : int;
   fused : int;
   fallback : int;
@@ -211,11 +244,13 @@ let compile_instructions ?(fuse = true) ~num_qubits:n ~num_bits instrs =
       | Barrier _ -> flush ())
     instrs;
   flush ();
+  let ops = Array.of_list (List.rev !ops) in
   let t =
     {
       n;
       num_bits;
-      ops = Array.of_list (List.rev !ops);
+      ops;
+      kernels = Array.map kernel_of_op ops;
       source_gates = !gates;
       fused = !fused;
       fallback = !fallback;
@@ -245,8 +280,10 @@ let split_prefix t =
   while !k < len && not (is_branch t.ops.(!k)) do
     incr k
   done;
-  ( { t with ops = Array.sub t.ops 0 !k },
-    { t with ops = Array.sub t.ops !k (len - !k) } )
+  let slice pos n =
+    { t with ops = Array.sub t.ops pos n; kernels = Array.sub t.kernels pos n }
+  in
+  (slice 0 !k, slice !k (len - !k))
 
 (* ------------------------------------------------------------------ *)
 (* Kernels                                                            *)
@@ -509,37 +546,8 @@ let run_circuit ~rng c = run ~rng (compile c)
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                      *)
 
-type kernel =
-  | Kx of { bit : int; cmask : int }
-  | Kh of { bit : int; cmask : int }
-  | Kphase of { bit : int; cmask : int; re1 : float; im1 : float }
-  | Kdiag of {
-      bit : int;
-      cmask : int;
-      re0 : float;
-      im0 : float;
-      re1 : float;
-      im1 : float;
-    }
-  | Ku2 of { bit : int; cmask : int; m : float array }
-  | Kmeasure of { qubit : int; bit : int }
-  | Kreset of int
-  | Kcond of { mask : int; value : int; body : kernel }
-
-let rec kernel_of_op = function
-  | Xk p -> Kx { bit = p.bit; cmask = p.cmask }
-  | Hk p -> Kh { bit = p.bit; cmask = p.cmask }
-  | Phasek { p; re1; im1 } -> Kphase { bit = p.bit; cmask = p.cmask; re1; im1 }
-  | Diagk { p; re0; im0; re1; im1 } ->
-      Kdiag { bit = p.bit; cmask = p.cmask; re0; im0; re1; im1 }
-  | U2k { p; m } -> Ku2 { bit = p.bit; cmask = p.cmask; m }
-  | Mk { qubit; bit } -> Kmeasure { qubit; bit }
-  | Rk q -> Kreset q
-  | Ck { mask; value; body } ->
-      Kcond { mask; value; body = kernel_of_op body }
-
 let kernel op = kernel_of_op op
-let kernels t = Array.map kernel_of_op t.ops
+let kernels t = t.kernels
 
 type view =
   | Unitary of { target : int; controls : int list }

@@ -125,7 +125,10 @@ type kernel =
 val kernel : op -> kernel
 
 (** [kernels t] is every op's {!kernel}, in execution order — what a
-    sparse engine lowers once per program (see {!Sparse}). *)
+    sparse engine replays (see {!Sparse}).  Lowered once, when the
+    program is compiled ({!split_prefix} slices it), so a replay pays
+    no lookup; the array is shared with the program — treat it as
+    read-only. *)
 val kernels : t -> kernel array
 
 type view =

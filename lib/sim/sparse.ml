@@ -1,14 +1,23 @@
 open Circuit
 
-(* Hash-map basis-amplitude statevector.
+(* Sparse basis-amplitude statevector.
 
    The state is a compact table of (basis index, amplitude) entries:
    parallel [idx]/[re]/[im] arrays hold the live entries in slots
-   [0..size), and [tbl] maps a basis index to its slot.  Memory and
-   per-op work scale with the number of nonzero amplitudes instead of
-   with 2^n — exactly the resource the paper's dyn2 transform keeps
-   small (ancillas stay in basis states, so a per-shot state has a
-   handful of nonzeros regardless of width).
+   [0..size), and an open-addressed index maps a basis index to its
+   slot.  Memory and per-op work scale with the number of nonzero
+   amplitudes instead of with 2^n — exactly the resource the paper's
+   dyn2 transform keeps small (ancillas stay in basis states, so a
+   per-shot state has a handful of nonzeros regardless of width).
+
+   The index is two flat int arrays, [keys] (a basis index, or [empty])
+   and [slots], probed linearly from a multiply-xor hash at load <= 1/2.
+   It is rebuilt lazily: collapses, pruning and X remap only the slot
+   arrays and mark it [stale]; the next lookup ([mix_pairs],
+   [amplitude]) rebuilds it in one pass over the slots.  Only lookups
+   and appends ([add_entry]) touch it, so it never deletes a key (no
+   tombstones, no backward shift), a run of measurements does no index
+   work at all, and a lookup allocates nothing.
 
    Kernel fidelity: every kernel mirrors the dense [Program] kernels
    expression-for-expression (same products, same sum association,
@@ -33,7 +42,10 @@ type t = {
   mutable idx : int array;
   mutable re : float array;
   mutable im : float array;
-  tbl : (int, int) Hashtbl.t;
+  mutable keys : int array;  (* basis index per bucket, or [empty] *)
+  mutable slots : int array;  (* slot of the key in the same bucket *)
+  mutable mask : int;  (* Array.length keys - 1 *)
+  mutable stale : bool;  (* keys/slots out of date with idx/size *)
 }
 
 (* Basis indices are OCaml ints; leave headroom below [Sys.int_size]
@@ -41,17 +53,30 @@ type t = {
 let max_qubits = Sys.int_size - 3
 let prune_eps2 = 1e-24
 let sq2 = 1. /. sqrt 2.
+let empty = -1
+
+(* [size] live entries in fresh 16-slot arrays, index not yet built *)
+let make ~n ~nbits ~reg ~size =
+  {
+    n;
+    nbits;
+    reg;
+    size;
+    idx = Array.make 16 0;
+    re = Array.make 16 0.;
+    im = Array.make 16 0.;
+    keys = [||];
+    slots = [||];
+    mask = -1;
+    stale = true;
+  }
 
 let create n ~num_bits =
   if n < 0 || n > max_qubits then
     invalid_arg (Printf.sprintf "Sparse.create: %d qubits (max %d)" n max_qubits);
-  let idx = Array.make 16 0 in
-  let re = Array.make 16 0. in
-  let im = Array.make 16 0. in
-  re.(0) <- 1.;
-  let tbl = Hashtbl.create 64 in
-  Hashtbl.replace tbl 0 0;
-  { n; nbits = num_bits; reg = 0; size = 1; idx; re; im; tbl }
+  let st = make ~n ~nbits:num_bits ~reg:0 ~size:1 in
+  st.re.(0) <- 1.;
+  st
 
 let num_qubits st = st.n
 let num_bits st = st.nbits
@@ -67,8 +92,61 @@ let copy st =
     idx = Array.copy st.idx;
     re = Array.copy st.re;
     im = Array.copy st.im;
-    tbl = Hashtbl.copy st.tbl;
+    keys = Array.copy st.keys;
+    slots = Array.copy st.slots;
   }
+
+(* ------------------------------------------------------------------ *)
+(* Index                                                              *)
+
+(* Fold the high half down (wide states' indices may differ only in
+   bits 32..59), multiply to spread every bit upward, then fold the
+   mixed high bits back onto the bucket bits. *)
+let[@inline] home st k =
+  let h = (k lxor (k lsr 32)) * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 29)) land st.mask
+
+(* [k] is known absent and the load stays <= 1/2, so an empty bucket
+   is always reached. *)
+let insert st k s =
+  let j = ref (home st k) in
+  while st.keys.(!j) <> empty do
+    j := (!j + 1) land st.mask
+  done;
+  st.keys.(!j) <- k;
+  st.slots.(!j) <- s
+
+(* One pass over the slots, into the smallest power-of-two table at
+   load <= 1/2 (16 buckets at least).  The arrays are reused when that
+   size is unchanged, so collapse/rebuild cycles on a small state
+   allocate nothing. *)
+let rebuild st =
+  let cap = ref 16 in
+  while !cap < 2 * st.size do
+    cap := 2 * !cap
+  done;
+  if Array.length st.keys = !cap then Array.fill st.keys 0 !cap empty
+  else begin
+    st.keys <- Array.make !cap empty;
+    st.slots <- Array.make !cap 0;
+    st.mask <- !cap - 1
+  end;
+  for s = 0 to st.size - 1 do
+    insert st st.idx.(s) s
+  done;
+  st.stale <- false
+
+(* Slot of basis index [k], or -1 when it is not stored. *)
+let find st k =
+  if st.stale then rebuild st;
+  let j = ref (home st k) and s = ref (-2) in
+  while !s = -2 do
+    let key = st.keys.(!j) in
+    if key = k then s := st.slots.(!j)
+    else if key = empty then s := -1
+    else j := (!j + 1) land st.mask
+  done;
+  !s
 
 (* ------------------------------------------------------------------ *)
 (* Entry management                                                   *)
@@ -87,28 +165,29 @@ let ensure_capacity st =
     st.im <- im
   end
 
-let add_entry st i r x =
+let[@inline] add_entry st i r x =
   ensure_capacity st;
   let s = st.size in
   st.idx.(s) <- i;
   st.re.(s) <- r;
   st.im.(s) <- x;
-  Hashtbl.replace st.tbl i s;
-  st.size <- s + 1
+  st.size <- s + 1;
+  if not st.stale then
+    if 2 * st.size > Array.length st.keys then st.stale <- true
+    else insert st i s
 
 (* Swap-remove: the last entry moves into the vacated slot.  Safe
    inside a downward [size-1 .. 0] sweep — the swapped-in entry came
    from a higher slot, already visited. *)
 let remove_slot st s =
   let last = st.size - 1 in
-  Hashtbl.remove st.tbl st.idx.(s);
   if s <> last then begin
     st.idx.(s) <- st.idx.(last);
     st.re.(s) <- st.re.(last);
-    st.im.(s) <- st.im.(last);
-    Hashtbl.replace st.tbl st.idx.(s) s
+    st.im.(s) <- st.im.(last)
   end;
-  st.size <- last
+  st.size <- last;
+  st.stale <- true
 
 let prune st =
   let s = ref (st.size - 1) in
@@ -130,12 +209,7 @@ let kx st ~bit ~cmask =
       changed := true
     end
   done;
-  if !changed then begin
-    Hashtbl.reset st.tbl;
-    for s = 0 to st.size - 1 do
-      Hashtbl.replace st.tbl st.idx.(s) s
-    done
-  end
+  if !changed then st.stale <- true
 
 let[@inline] rotate st s zre zim =
   let r = st.re.(s) and x = st.im.(s) in
@@ -168,21 +242,23 @@ let mix_pairs st ~bit ~cmask f =
       if i land bit = 0 then begin
         let i1 = i lor bit in
         let r0 = st.re.(s) and x0 = st.im.(s) in
-        match Hashtbl.find_opt st.tbl i1 with
-        | Some s1 ->
-            let r1 = st.re.(s1) and x1 = st.im.(s1) in
-            let nr0, nx0, nr1, nx1 = f r0 x0 r1 x1 in
-            st.re.(s) <- nr0;
-            st.im.(s) <- nx0;
-            st.re.(s1) <- nr1;
-            st.im.(s1) <- nx1
-        | None ->
-            let nr0, nx0, nr1, nx1 = f r0 x0 0. 0. in
-            st.re.(s) <- nr0;
-            st.im.(s) <- nx0;
-            if not (nr1 = 0. && nx1 = 0.) then add_entry st i1 nr1 nx1
+        let s1 = find st i1 in
+        if s1 >= 0 then begin
+          let r1 = st.re.(s1) and x1 = st.im.(s1) in
+          let nr0, nx0, nr1, nx1 = f r0 x0 r1 x1 in
+          st.re.(s) <- nr0;
+          st.im.(s) <- nx0;
+          st.re.(s1) <- nr1;
+          st.im.(s1) <- nx1
+        end
+        else begin
+          let nr0, nx0, nr1, nx1 = f r0 x0 0. 0. in
+          st.re.(s) <- nr0;
+          st.im.(s) <- nx0;
+          if not (nr1 = 0. && nx1 = 0.) then add_entry st i1 nr1 nx1
+        end
       end
-      else if not (Hashtbl.mem st.tbl (i lxor bit)) then begin
+      else if find st (i lxor bit) < 0 then begin
         let r1 = st.re.(s) and x1 = st.im.(s) in
         let nr0, nx0, nr1, nx1 = f 0. 0. r1 x1 in
         st.re.(s) <- nr1;
@@ -220,9 +296,8 @@ let norm2 st =
   !acc
 
 let amplitude st k =
-  match Hashtbl.find_opt st.tbl k with
-  | Some s -> { Complex.re = st.re.(s); im = st.im.(s) }
-  | None -> Complex.zero
+  let s = find st k in
+  if s < 0 then Complex.zero else { Complex.re = st.re.(s); im = st.im.(s) }
 
 let prob_one st q =
   let bit = 1 lsl q in
@@ -295,33 +370,6 @@ let apply_kraus1 st m q =
 (* ------------------------------------------------------------------ *)
 (* Program execution                                                  *)
 
-(* Per-program kernel plans, memoized on the physical program value —
-   sparse replay is per shot, lowering to [Program.kernel] is once.
-   Parallel shot workers share programs, so the memo is lock-guarded
-   (unlike Backend's cache, which only the main domain touches). *)
-module Plans = Ephemeron.K1.Make (struct
-  type t = Program.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-let plans : Program.kernel array Plans.t = Plans.create 32
-let plans_lock = Mutex.create ()
-
-let plan_of_program p =
-  Mutex.lock plans_lock;
-  let k =
-    match Plans.find_opt plans p with
-    | Some k -> k
-    | None ->
-        let k = Program.kernels p in
-        Plans.add plans p k;
-        k
-  in
-  Mutex.unlock plans_lock;
-  k
-
 let rec exec_kernel ~random st k =
   match k with
   | Program.Kx { bit; cmask } -> kx st ~bit ~cmask
@@ -337,7 +385,7 @@ let rec exec_kernel ~random st k =
       if st.reg land mask = value then exec_kernel ~random st body
 
 let exec ~random st program =
-  let plan = plan_of_program program in
+  let plan = Program.kernels program in
   for k = 0 to Array.length plan - 1 do
     exec_kernel ~random st (Array.unsafe_get plan k)
   done;
@@ -373,28 +421,14 @@ let to_state st =
   State.set_register d st.reg;
   d
 
-(* Sized by a counting pass first: the hybrid executor converts once
-   per shot, and growing the slot arrays and the table entry by entry
-   costs more than the extra 2^n scan. *)
+(* One scan into doubling slot arrays; the index is left stale, so a
+   handoff straight into a collapse run never builds it. *)
 let of_state d =
   let v = State.raw d in
   let re = Linalg.Cvec.re v and im = Linalg.Cvec.im v in
-  let nz = ref 0 in
-  for k = 0 to Array.length re - 1 do
-    if re.(k) <> 0. || im.(k) <> 0. then incr nz
-  done;
-  let cap = max 16 !nz in
   let st =
-    {
-      n = State.num_qubits d;
-      nbits = State.num_bits d;
-      reg = State.register d;
-      size = 0;
-      idx = Array.make cap 0;
-      re = Array.make cap 0.;
-      im = Array.make cap 0.;
-      tbl = Hashtbl.create (2 * cap);
-    }
+    make ~n:(State.num_qubits d) ~nbits:(State.num_bits d)
+      ~reg:(State.register d) ~size:0
   in
   for k = 0 to Array.length re - 1 do
     if re.(k) <> 0. || im.(k) <> 0. then add_entry st k re.(k) im.(k)

@@ -1,11 +1,16 @@
 open Circuit
 
-(** Hash-map basis-amplitude statevector — the sparse execution
+(** Sparse basis-amplitude statevector — the sparse execution
     engine.
 
-    Stores only nonzero amplitudes (a compact slot table keyed by
-    basis index), so memory and per-op work scale with the number of
-    nonzeros instead of with [2^n].  That is exactly the resource the
+    Stores only nonzero amplitudes (compact slot arrays, found by basis
+    index through an open-addressed index of two flat int arrays), so
+    memory and per-op work scale with the number of nonzeros instead
+    of with [2^n].  The index is rebuilt lazily: collapses, pruning and
+    X touch only the slot arrays and leave it stale, and the next
+    lookup rebuilds it in one pass — so a run of measurements does no
+    index work, a lookup allocates nothing and {!copy} is five flat
+    array copies.  That is exactly the resource the
     paper's dyn2 dynamic circuits keep small: ancillas live in
     computational basis states, so a per-shot state has a handful of
     entries at any width — which is what lets this engine run
@@ -80,9 +85,8 @@ val apply_gate : t -> Gate.t -> int -> unit
     @raise Invalid_argument on shape mismatch or zero-norm result. *)
 val apply_kraus1 : t -> Linalg.Cmat.t -> int -> unit
 
-(** Replay a compiled program.  The program's op array is lowered to
-    {!Program.kernel}s once and memoized on the program value, so
-    per-shot replays pay only the table lookup. *)
+(** Replay a compiled program through its {!Program.kernels}, which
+    the program carries from compilation — a replay does no lookup. *)
 val exec : random:(unit -> float) -> t -> Program.t -> unit
 
 (** Execute a compiled program from a fresh |0...0> state. *)
@@ -95,7 +99,8 @@ val run : rng:Random.State.t -> Program.t -> t
     @raise State.Dense_cap_exceeded past {!State.max_qubits}. *)
 val to_state : t -> State.t
 
-(** Sparsify a dense state (register preserved, exact zeros dropped). *)
+(** Sparsify a dense state (register preserved, exact zeros dropped):
+    one [2^n] scan; the index is built by the first lookup. *)
 val of_state : State.t -> t
 
 (** Dense [2^n] probability array.

@@ -312,6 +312,41 @@ let test_pipeline_default () =
   check_bool "renders" true
     (String.length (Dqc.Pipeline.to_string out) > 40)
 
+(* The one-line evidence summary [dqc_cli stats] prints: a certified
+   circuit says so, rather than "check skipped". *)
+let test_pipeline_equivalence_line () =
+  let contains line sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length line && (String.sub line i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  let and9 = Algorithms.Mct_bench.and_n 9 in
+  let compile ?(o = and9) options =
+    Dqc.Pipeline.compile ~options (Algorithms.Dj.circuit o)
+  in
+  let module O = Dqc.Pipeline.Options in
+  let proved =
+    compile (O.default |> O.with_scheme Dqc.Toffoli_scheme.Dynamic_2)
+  in
+  check_bool "AND_9 dyn2 certified" true proved.Dqc.Pipeline.certified;
+  let line = Dqc.Pipeline.equivalence_line proved in
+  check_bool ("says proved: " ^ line) true (contains line "proved");
+  (* without the certifier, a narrow circuit gets the exact TV line *)
+  let numeric =
+    compile
+      ~o:(Option.get (Algorithms.Dj_toffoli.oracle_by_name "AND"))
+      (O.default |> O.with_certify false)
+  in
+  let line = Dqc.Pipeline.equivalence_line numeric in
+  check_bool ("keeps the TV line: " ^ line) true
+    (contains line "exact TV distance" && not (contains line "proved"));
+  let skipped = compile (O.default |> O.with_check_equivalence false) in
+  Alcotest.(check string)
+    "no check" "equivalence: check skipped"
+    (Dqc.Pipeline.equivalence_line skipped)
+
 let test_pipeline_sound_multislot_native () =
   let o = Option.get (Algorithms.Dj_toffoli.oracle_by_name "AND") in
   let options =
@@ -754,6 +789,8 @@ let () =
       ( "pipeline",
         [
           Alcotest.test_case "default" `Quick test_pipeline_default;
+          Alcotest.test_case "equivalence line" `Quick
+            test_pipeline_equivalence_line;
           Alcotest.test_case "sound multislot native" `Quick
             test_pipeline_sound_multislot_native;
           Alcotest.test_case "direct mct" `Quick test_pipeline_direct_mct;

@@ -456,6 +456,374 @@ let test_streaming_heap_top () =
     (Printf.sprintf "heap top grew %.1f MB (< 64 MB)" grown_mb)
     true (grown_mb < 64.)
 
+(* ------------------------------------------------------------------ *)
+(* The flat index: differential, collisions, allocation                *)
+
+(* Every basis index of a <= 10-qubit sparse state against the dense
+   state, plus the register: lookups go through the index, so a stale
+   or corrupt index shows up as a wrong or missing amplitude. *)
+let agrees_with_dense msg dense sp =
+  check_int (msg ^ ": register") (Sim.State.register dense)
+    (Sim.Sparse.register sp);
+  let amps = Sim.State.amplitudes dense in
+  for k = 0 to Linalg.Cvec.dim amps - 1 do
+    let a = Linalg.Cvec.get amps k and b = Sim.Sparse.amplitude sp k in
+    if
+      abs_float (a.Complex.re -. b.Complex.re) > tolerance
+      || abs_float (a.Complex.im -. b.Complex.im) > tolerance
+    then
+      Alcotest.failf "%s: amplitude of %d is %g%+gi, dense %g%+gi" msg k
+        b.Complex.re b.Complex.im a.Complex.re a.Complex.im
+  done
+
+(* One step of a random op sequence: a group of instructions replayed
+   as one program on both engines, or a copy / conversion of the
+   sparse state. *)
+type index_step =
+  | Group of Instruction.t list
+  | Copy_then_mutate of Instruction.t
+  | Round_trip
+
+let random_index_step rng ~nq ~nb =
+  let q () = Random.State.int rng nq in
+  let distinct k =
+    let rec go acc =
+      if List.length acc = k then acc
+      else
+        let x = q () in
+        go (if List.mem x acc then acc else x :: acc)
+    in
+    go []
+  in
+  let collapse () =
+    if Random.State.bool rng then
+      Instruction.Measure { qubit = q (); bit = Random.State.int rng nb }
+    else Instruction.Reset (q ())
+  in
+  let gate () =
+    Instruction.Unitary
+      (Instruction.app
+         (List.nth Gate.[ H; T; S; Y; Rz 0.61 ] (Random.State.int rng 5))
+         (q ()))
+  in
+  match Random.State.int rng 7 with
+  | 0 ->
+      (* H.H: the second H cancels the partner entries the first made *)
+      let t = q () in
+      let h = Instruction.Unitary (Instruction.app Gate.H t) in
+      Group [ h; h ]
+  | 1 -> (
+      (* X under 0..2 controls: a key remap *)
+      match distinct (1 + Random.State.int rng (min 3 nq)) with
+      | t :: controls ->
+          Group [ Instruction.Unitary (Instruction.app ~controls Gate.X t) ]
+      | [] -> assert false)
+  | 2 ->
+      (* a collapse run, then a lookup-driven op right after it *)
+      let run = List.init (1 + Random.State.int rng 4) (fun _ -> collapse ()) in
+      Group (run @ [ Instruction.Unitary (Instruction.app Gate.H (q ())) ])
+  | 3 -> Group (List.init (1 + Random.State.int rng 4) (fun _ -> collapse ()))
+  | 4 -> Copy_then_mutate (if Random.State.bool rng then gate () else collapse ())
+  | 5 -> Round_trip
+  | _ -> Group [ gate () ]
+
+let test_index_differential () =
+  let rng = Random.State.make [| 0x1DE5 |] in
+  for case = 0 to 59 do
+    let nq = 1 + Random.State.int rng 10 and nb = 2 in
+    let seed = 1000 + case in
+    let rd = Random.State.make [| seed |] and rs = Random.State.make [| seed |] in
+    let random_d () = Random.State.float rd 1.0
+    and random_s () = Random.State.float rs 1.0 in
+    let dense = Sim.State.create nq ~num_bits:nb in
+    let sp = ref (Sim.Sparse.create nq ~num_bits:nb) in
+    let compile instrs =
+      Sim.Program.compile_instructions ~fuse:false ~num_qubits:nq ~num_bits:nb
+        instrs
+    in
+    for step = 0 to 39 do
+      let msg = Printf.sprintf "case %d (%d qubits), step %d" case nq step in
+      (match random_index_step rng ~nq ~nb with
+      | Group instrs ->
+          let p = compile instrs in
+          Sim.Program.exec ~random:random_d dense p;
+          Sim.Sparse.exec ~random:random_s !sp p
+      | Copy_then_mutate instr ->
+          let c = Sim.Sparse.copy !sp in
+          agrees_with_dense (msg ^ ", copy") dense c;
+          let r = Random.State.make [| step |] in
+          Sim.Sparse.exec
+            ~random:(fun () -> Random.State.float r 1.0)
+            c (compile [ instr ])
+      | Round_trip -> sp := Sim.Sparse.of_state (Sim.Sparse.to_state !sp));
+      agrees_with_dense msg dense !sp
+    done
+  done
+
+(* Conversions at the extremes: no entry, one entry, every entry. *)
+let test_round_trip_extremes () =
+  let n = 6 in
+  let dim = 1 lsl n in
+  let check msg d =
+    let sp = Sim.Sparse.of_state d in
+    let nz = ref 0 in
+    let v = Sim.State.amplitudes d in
+    for k = 0 to dim - 1 do
+      if Complex.norm2 (Linalg.Cvec.get v k) > 0. then incr nz
+    done;
+    check_int (msg ^ ": nnz") !nz (Sim.Sparse.nnz sp);
+    agrees_with_dense msg d sp;
+    agrees_with_dense (msg ^ ", back") (Sim.Sparse.to_state sp)
+      (Sim.Sparse.of_state (Sim.Sparse.to_state sp))
+  in
+  let zero = Sim.State.create n ~num_bits:1 in
+  (Linalg.Cvec.re (Sim.State.raw zero)).(0) <- 0.;
+  check "0 nonzeros" zero;
+  let one = Sim.State.create n ~num_bits:1 in
+  Sim.State.set_register one 1;
+  check "1 nonzero" one;
+  let full =
+    Sim.Program.run ~rng:(Random.State.make [| 1 |])
+      (Sim.Program.compile_instructions ~num_qubits:n ~num_bits:1
+         (List.init n (fun q ->
+              Instruction.Unitary (Instruction.app Gate.H q))))
+  in
+  check "2^n nonzeros" full
+
+(* Wide states whose stored indices differ only in their top bits —
+   the bits a hash that ignored them would send to one bucket — and a
+   deletion in the middle of the probe chains: with 2^11 keys at load
+   <= 1/2 the table is full of chains, and a controlled H on one
+   uniform pair cancels exactly one key, which pruning then drops. *)
+let test_index_collisions () =
+  List.iter
+    (fun n ->
+      let high = List.init 10 (fun j -> n - 10 + j) in
+      let sp = Sim.Sparse.create n ~num_bits:1 in
+      List.iter (fun q -> Sim.Sparse.apply_gate sp Gate.H q) (0 :: high);
+      check_int (Printf.sprintf "%d qubits: 2^11 entries" n) 2048
+        (Sim.Sparse.nnz sp);
+      let key x low =
+        List.fold_left
+          (fun (acc, j) q ->
+            ((if (x lsr j) land 1 = 1 then acc lor (1 lsl q) else acc), j + 1))
+          (low, 0) high
+        |> fst
+      in
+      let expect msg f =
+        for x = 0 to 1023 do
+          for low = 0 to 3 do
+            let want = f x low in
+            let got = (Sim.Sparse.amplitude sp (key x low)).Complex.re in
+            if abs_float (got -. want) > 1e-12 then
+              Alcotest.failf "%d qubits, %s: amplitude of high %d low %d is \
+                              %g, want %g"
+                n msg x low got want
+          done
+        done
+      in
+      let a = 1. /. sqrt 2048. in
+      expect "uniform" (fun _ low -> if low <= 1 then a else 0.);
+      (* H on qubit 0 controlled by every high bit: that one pair
+         (x = 1023) interferes, and its |1> entry cancels and is pruned *)
+      let ch =
+        Sim.Program.compile_instructions ~num_qubits:n ~num_bits:1
+          [ Instruction.Unitary (Instruction.app ~controls:high Gate.H 0) ]
+      in
+      Sim.Sparse.exec ~random:Sim.Program.no_random sp ch;
+      check_int "one key deleted" 2047 (Sim.Sparse.nnz sp);
+      expect "after the deletion" (fun x low ->
+          match (x, low) with
+          | 1023, 0 -> sqrt 2. *. a
+          | 1023, _ -> 0.
+          | _, (0 | 1) -> a
+          | _ -> 0.);
+      (* a collapse on a top bit drops half the keys; X on another
+         remaps every key *)
+      ignore (Sim.Sparse.project sp (n - 1) true);
+      Sim.Sparse.flip sp (n - 2);
+      let b = a *. sqrt 2. in
+      expect "after collapse and X" (fun x low ->
+          if (x lsr 9) land 1 = 0 then 0.
+          else
+            let x = x lxor (1 lsl 8) in
+            match (x, low) with
+            | 1023, 0 -> sqrt 2. *. b
+            | 1023, _ -> 0.
+            | _, (0 | 1) -> b
+            | _ -> 0.))
+    [ 58; 59; 60 ]
+
+(* Allocation, read off the GC counters (deterministic).  Arrays past
+   256 words go straight to the major heap, so with 4096 entries every
+   flat array lands there and any per-entry block would show up in
+   [Gc.minor_words]. *)
+let test_index_allocation () =
+  let n = 16 in
+  let d =
+    Sim.Program.run ~rng:(Random.State.make [| 1 |])
+      (Sim.Program.compile_instructions ~num_qubits:n ~num_bits:13
+         (List.init 12 (fun q -> Instruction.Unitary (Instruction.app Gate.H q))))
+  in
+  let minor f =
+    let before = Gc.minor_words () in
+    let r = f () in
+    (r, Gc.minor_words () -. before)
+  in
+  let bytes f =
+    let before = Gc.allocated_bytes () in
+    let r = f () in
+    (r, Gc.allocated_bytes () -. before)
+  in
+  let word = float_of_int (Sys.word_size / 8) in
+  let sp, of_state_minor = minor (fun () -> Sim.Sparse.of_state d) in
+  check_int "4096 entries" 4096 (Sim.Sparse.nnz sp);
+  check_bool
+    (Printf.sprintf "of_state: %.0f minor words, fewer than one per entry"
+       of_state_minor)
+    true
+    (of_state_minor < 4096.);
+  let c, copy_minor = minor (fun () -> Sim.Sparse.copy sp) in
+  check_bool
+    (Printf.sprintf "copy: %.0f minor words (the record only)" copy_minor)
+    true (copy_minor <= 16.);
+  let _, copy_bytes = bytes (fun () -> Sim.Sparse.copy sp) in
+  let footprint = float_of_int (Obj.reachable_words (Obj.repr c)) *. word in
+  check_bool
+    (Printf.sprintf "copy: %.0f bytes allocated for a %.0f-byte state"
+       copy_bytes footprint)
+    true
+    (copy_bytes <= footprint +. 64.);
+  let randoms = Array.init 12 (fun k -> float_of_int ((7 * k) mod 12) /. 12.) in
+  let (), measure_bytes =
+    bytes (fun () ->
+        for q = 0 to 11 do
+          ignore
+            (Sim.Sparse.measure ~random:randoms.(q) c ~qubit:q ~bit:(q + 1))
+        done)
+  in
+  check_int "collapsed to one entry" 1 (Sim.Sparse.nnz c);
+  check_bool
+    (Printf.sprintf "12 measurements: %.0f bytes (< 4 KB)" measure_bytes)
+    true (measure_bytes < 4096.)
+
+(* ------------------------------------------------------------------ *)
+(* Golden shot streams                                                 *)
+
+(* Auto's histograms at seed 3, recorded on the hash-table-indexed
+   engine before the flat index replaced it.  The index only maps a
+   basis index to its slot: slot order and every kernel's arithmetic
+   are unchanged, so these streams must match exactly.  Each row is
+   (name, shots, circuit, Runner.to_list). *)
+let golden_streams =
+  [
+    ( "hybrid witness", 64, (fun () -> hybrid_witness ()),
+      [
+        (303, 1); (473, 1); (661, 1); (747, 1); (1265, 1); (1331, 1);
+        (1355, 1); (1433, 1); (1487, 1); (1585, 1); (1841, 1); (1845, 1);
+        (2013, 1); (2015, 1); (2039, 1); (2093, 1); (2227, 1); (2473, 1);
+        (2543, 1); (2615, 1); (2939, 1); (2943, 1); (2963, 1); (3117, 1);
+        (3301, 1); (3549, 1); (3607, 1); (3651, 1); (3657, 1); (3889, 1);
+        (3909, 1); (3961, 1); (4023, 1); (4035, 1); (4055, 1); (4179, 1);
+        (4185, 1); (4375, 1); (4523, 1); (4575, 1); (4773, 1); (4791, 1);
+        (5295, 1); (5445, 1); (5667, 1); (5693, 1); (5705, 1); (5707, 1);
+        (5853, 1); (6103, 1); (6199, 1); (6201, 1); (6407, 1); (6647, 1);
+        (6669, 1); (6895, 1); (6975, 1); (7083, 1); (7117, 1); (7527, 1);
+        (7559, 1); (7621, 1); (7913, 1); (7953, 1);
+      ] );
+    ( "hybrid witness", 256, (fun () -> hybrid_witness ()),
+      [
+        (1, 1); (19, 2); (29, 1); (103, 1); (115, 1); (181, 1);
+        (185, 1); (303, 2); (403, 1); (429, 1); (473, 1); (557, 1);
+        (591, 1); (647, 1); (661, 1); (675, 1); (747, 1); (791, 1);
+        (839, 1); (927, 1); (931, 1); (1009, 1); (1023, 1); (1031, 1);
+        (1049, 1); (1059, 1); (1073, 1); (1095, 1); (1145, 1); (1189, 1);
+        (1207, 1); (1257, 1); (1265, 1); (1331, 1); (1353, 1); (1355, 2);
+        (1433, 1); (1487, 1); (1549, 2); (1585, 1); (1587, 1); (1605, 1);
+        (1665, 1); (1687, 1); (1739, 1); (1813, 1); (1839, 1); (1841, 1);
+        (1845, 1); (1873, 1); (1963, 1); (2003, 1); (2013, 1); (2015, 1);
+        (2039, 1); (2055, 1); (2069, 1); (2093, 1); (2099, 1); (2115, 1);
+        (2117, 1); (2137, 1); (2151, 1); (2153, 1); (2227, 2); (2263, 1);
+        (2285, 1); (2317, 1); (2343, 1); (2355, 1); (2473, 1); (2499, 1);
+        (2541, 1); (2543, 1); (2593, 1); (2615, 1); (2619, 1); (2641, 1);
+        (2649, 1); (2657, 1); (2663, 1); (2685, 1); (2689, 1); (2709, 1);
+        (2725, 1); (2777, 1); (2779, 1); (2809, 1); (2849, 1); (2867, 1);
+        (2883, 1); (2901, 1); (2903, 1); (2917, 1); (2937, 1); (2939, 1);
+        (2943, 1); (2963, 1); (3035, 1); (3091, 1); (3117, 1); (3163, 1);
+        (3209, 1); (3223, 1); (3287, 1); (3301, 1); (3381, 1); (3409, 1);
+        (3417, 1); (3421, 1); (3451, 1); (3477, 1); (3533, 1); (3549, 1);
+        (3551, 1); (3597, 1); (3599, 1); (3607, 1); (3627, 1); (3651, 1);
+        (3657, 1); (3689, 1); (3693, 1); (3697, 1); (3769, 1); (3785, 1);
+        (3831, 1); (3843, 1); (3889, 1); (3909, 1); (3961, 1); (4023, 1);
+        (4035, 1); (4055, 1); (4179, 1); (4185, 1); (4275, 1); (4347, 1);
+        (4375, 1); (4385, 1); (4391, 1); (4427, 1); (4431, 1); (4473, 1);
+        (4517, 1); (4523, 1); (4575, 2); (4597, 1); (4773, 1); (4791, 1);
+        (4817, 1); (4827, 1); (4969, 1); (4989, 1); (4993, 1); (5057, 1);
+        (5085, 1); (5129, 1); (5149, 1); (5189, 1); (5195, 1); (5215, 1);
+        (5251, 1); (5279, 1); (5295, 1); (5445, 1); (5499, 1); (5567, 1);
+        (5595, 1); (5605, 1); (5621, 1); (5625, 1); (5649, 2); (5667, 1);
+        (5693, 1); (5695, 1); (5705, 1); (5707, 1); (5751, 1); (5763, 1);
+        (5793, 1); (5799, 1); (5801, 1); (5813, 1); (5853, 1); (5855, 1);
+        (6015, 1); (6025, 1); (6039, 1); (6103, 2); (6115, 1); (6139, 1);
+        (6143, 1); (6165, 1); (6181, 1); (6189, 1); (6199, 1); (6201, 1);
+        (6299, 1); (6323, 1); (6407, 1); (6417, 1); (6419, 1); (6521, 1);
+        (6557, 1); (6579, 1); (6647, 1); (6669, 1); (6739, 1); (6829, 1);
+        (6895, 1); (6921, 2); (6945, 1); (6961, 1); (6975, 1); (6989, 1);
+        (7083, 1); (7117, 1); (7121, 1); (7149, 1); (7181, 1); (7185, 1);
+        (7189, 1); (7221, 1); (7311, 1); (7341, 1); (7387, 1); (7417, 1);
+        (7435, 1); (7441, 1); (7527, 1); (7559, 1); (7581, 1); (7611, 1);
+        (7621, 1); (7625, 1); (7641, 1); (7645, 1); (7705, 1); (7735, 1);
+        (7799, 1); (7913, 1); (7953, 1); (7965, 1); (8041, 1); (8047, 1);
+        (8057, 1);
+      ] );
+    ( "AND-9/0", 256, (fun () -> and_ladder ~inputs:9 ~superposed:0),
+      [ (1, 256) ] );
+    ( "AND-12/3", 256, (fun () -> and_ladder ~inputs:12 ~superposed:3),
+      [
+        (0, 30); (2, 33); (4, 29); (6, 37); (8, 40); (10, 26);
+        (12, 34); (15, 27);
+      ] );
+    ( "AND-15/6", 256, (fun () -> and_ladder ~inputs:15 ~superposed:6),
+      [
+        (0, 4); (2, 3); (6, 5); (8, 5); (10, 1); (12, 6);
+        (14, 2); (16, 6); (18, 6); (20, 7); (22, 6); (24, 3);
+        (26, 1); (28, 5); (30, 2); (32, 5); (34, 4); (36, 5);
+        (38, 3); (40, 2); (42, 4); (44, 7); (46, 4); (48, 5);
+        (50, 10); (52, 5); (54, 6); (56, 3); (58, 2); (60, 1);
+        (62, 3); (64, 1); (66, 5); (68, 6); (70, 2); (72, 5);
+        (74, 6); (76, 3); (78, 3); (80, 5); (82, 3); (84, 1);
+        (86, 6); (88, 7); (90, 6); (92, 6); (94, 6); (96, 1);
+        (98, 1); (100, 3); (102, 4); (104, 6); (106, 1); (108, 4);
+        (110, 3); (112, 3); (114, 1); (116, 2); (118, 5); (120, 9);
+        (122, 5); (124, 2); (127, 4);
+      ] );
+    ( "AND-20/6", 256, (fun () -> and_ladder ~inputs:20 ~superposed:6),
+      [
+        (0, 4); (2, 3); (6, 5); (8, 5); (10, 1); (12, 6);
+        (14, 2); (16, 6); (18, 6); (20, 7); (22, 6); (24, 3);
+        (26, 1); (28, 5); (30, 2); (32, 5); (34, 4); (36, 5);
+        (38, 3); (40, 2); (42, 4); (44, 7); (46, 4); (48, 5);
+        (50, 10); (52, 5); (54, 6); (56, 3); (58, 2); (60, 1);
+        (62, 3); (64, 1); (66, 5); (68, 6); (70, 2); (72, 5);
+        (74, 6); (76, 3); (78, 3); (80, 5); (82, 3); (84, 1);
+        (86, 6); (88, 7); (90, 6); (92, 6); (94, 6); (96, 1);
+        (98, 1); (100, 3); (102, 4); (104, 6); (106, 1); (108, 4);
+        (110, 3); (112, 3); (114, 1); (116, 2); (118, 5); (120, 9);
+        (122, 5); (124, 2); (127, 4);
+      ] );
+    ( "AND-7/2", 256, (fun () -> and_ladder ~inputs:7 ~superposed:2),
+      [ (0, 64); (2, 70); (4, 51); (7, 71) ] );
+  ]
+
+let test_golden_shot_streams () =
+  List.iter
+    (fun (name, shots, circuit, expected) ->
+      Alcotest.check hist_pairs
+        (Printf.sprintf "%s, %d shots" name shots)
+        expected
+        (Sim.Runner.to_list (Sim.Backend.run ~seed:3 ~shots (circuit ()))))
+    golden_streams
+
 let () =
   Alcotest.run "sparse"
     [
@@ -479,6 +847,19 @@ let () =
           Alcotest.test_case "body bounds sound" `Quick test_body_bounds_sound;
           Alcotest.test_case "witness plan and histogram" `Quick
             test_hybrid_witness_plan;
+        ] );
+      ( "index",
+        [
+          Alcotest.test_case "differential against dense" `Quick
+            test_index_differential;
+          Alcotest.test_case "round trips at 0, 1 and 2^n nonzeros" `Quick
+            test_round_trip_extremes;
+          Alcotest.test_case "collision corpus" `Quick test_index_collisions;
+          Alcotest.test_case "allocation" `Quick test_index_allocation;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "shot streams" `Quick test_golden_shot_streams;
         ] );
       ( "differential",
         [
