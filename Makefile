@@ -1,4 +1,4 @@
-.PHONY: all build test bench ci fmt-check trace-smoke kernel-smoke lint verify-gate reuse-gate analyze-gate opt-gate sparse-gate perf-gate perf-baseline clean
+.PHONY: all build test bench ci fmt-check trace-smoke kernel-smoke lint loc verify-gate reuse-gate analyze-gate opt-gate sparse-gate perf-gate perf-baseline clean
 
 all: build
 
@@ -76,7 +76,27 @@ lint:
 	      >/dev/null 2>&1; then \
 	    echo "lint: negative corpus $$f was NOT rejected"; exit 1; \
 	  else echo "lint: negative corpus $$f rejected (non-zero exit)"; fi; \
-	done
+	done; \
+	printf 'OPENQASM 3.0;\nqubit[1] q;\nbit[1] c;\nh q[0]\n' \
+	  > /tmp/dqc_bad_syntax.qasm; \
+	printf 'OPENQASM 3.0;\nqubit[1] q;\nbit[1] c;\nc[3] = measure q[0];\n' \
+	  > /tmp/dqc_bad_index.qasm; \
+	for f in /tmp/dqc_bad_syntax.qasm /tmp/dqc_bad_index.qasm; do \
+	  for cmd in lint verify analyze; do \
+	    code=0; dune exec --no-build bin/dqc_cli.exe -- $$cmd --file $$f \
+	      >/dev/null 2>&1 || code=$$?; \
+	    if [ $$code -ne 3 ]; then \
+	      echo "lint: $$cmd --file $$f exited $$code, want 3"; exit 1; fi; \
+	  done; \
+	done; \
+	echo "lint: malformed QASM input exits 3 from lint, verify and analyze"
+
+# Net source lines (.ml + .mli) per top-level source directory.
+loc:
+	@total=0; for d in lib bin bench; do \
+	  n=$$(find $$d \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l); \
+	  printf '%-6s %7d\n' $$d $$n; total=$$((total + n)); \
+	done; printf '%-6s %7d\n' total $$total
 
 # Symbolic certification gate: every lint benchmark must be Proved
 # under both dynamic schemes (exit 0), and fault injection must be

@@ -472,12 +472,7 @@ let run_analyze_gate () =
     "selection: XORA_15 old whole-circuit scan -> dense %b; Auto -> %s \
      (backend.select.stabilizer = %d, metrics in %s)\n"
     old_scan_dense
-    (match selected with
-    | `Stabilizer -> "stabilizer"
-    | `Exact -> "exact"
-    | `Dense -> "dense"
-    | `Sparse -> "sparse"
-    | `Hybrid -> "hybrid")
+    (Sim.Backend.engine_name selected)
     stab_count analyze_gate_json_path;
   (* overhead: analysis must stay a sliver of pipeline compile *)
   let dj = Algorithms.Dj.circuit and_9 in
@@ -668,13 +663,6 @@ let hybrid_witness () =
   Circ.Builder.measure b ~qubit:14 ~bit:0;
   Dqc.Toffoli_scheme.prepare Dqc.Toffoli_scheme.Dynamic_2 (Circ.Builder.build b)
 
-let engine_tag = function
-  | `Dense -> "dense"
-  | `Sparse -> "sparse"
-  | `Hybrid -> "hybrid"
-  | `Stabilizer -> "stabilizer"
-  | `Exact -> "exact"
-
 let run_sparse_gate () =
   section
     "Sparse gate: dense/sparse differential + per-segment hybrid execution";
@@ -748,7 +736,9 @@ let run_sparse_gate () =
   Printf.printf
     "selection: AND-7 rladder dyn2 -> %s, hybrid witness -> %s (%d \
      dense->sparse handoffs over %d shots, metrics in %s)\n"
-    (engine_tag sel_rl) (engine_tag sel_hw) d2s shots sparse_gate_json_path;
+    (Sim.Backend.engine_name sel_rl)
+    (Sim.Backend.engine_name sel_hw)
+    d2s shots sparse_gate_json_path;
   Printf.printf
     "cross-engine histograms: auto = forced dense on both workloads: %b\n"
     agree_ok;
@@ -822,10 +812,8 @@ let run_sparse_gate () =
      representation (backend.exact.sparse = %d), histogram = dense \
      enumeration's %b, forced dense in support %b and TV %.3f <= %.3f, \
      auto %.1f ms vs forced dense %.1f ms\n"
-    shots (engine_tag sel_x)
-    (match Sim.Backend.exact_representation narrow with
-    | `Sparse -> "sparse"
-    | `Dense -> "dense")
+    shots (Sim.Backend.engine_name sel_x)
+    (Sim.Backend.engine_name (Sim.Backend.exact_representation narrow))
     exact_sparse (equal h_x h_dense_enum) in_support tv tv_bound (t_x *. 1000.)
     (t_xd *. 1000.);
   (* 6. wall clock: the hybrid witness, auto vs forced dense (auto ran

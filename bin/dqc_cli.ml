@@ -618,6 +618,21 @@ let profile_cmd =
 (* ------------------------------------------------------------------ *)
 (* analyze                                                            *)
 
+(* A --file input that cannot be read or parsed is a typed input error:
+   one line on stderr and exit 3, apart from verify's 0/1/2 verdicts and
+   cmdliner's 123-125. *)
+let read_qasm path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg ->
+      Printf.eprintf "dqc_cli: %s\n" msg;
+      exit 3
+  | src -> (
+      match Circuit.Qasm.parse src with
+      | c -> (Filename.basename path, c)
+      | exception Circuit.Qasm.Parse_error msg ->
+          Printf.eprintf "dqc_cli: %s: %s\n" path msg;
+          exit 3)
+
 let analyze_cmd =
   let file =
     Arg.(
@@ -641,11 +656,7 @@ let analyze_cmd =
     let subject =
       match (bench, file) with
       | _, Some path ->
-          let ic = open_in path in
-          let len = in_channel_length ic in
-          let src = really_input_string ic len in
-          close_in ic;
-          Some (Filename.basename path, Circuit.Qasm.parse src)
+          Some (read_qasm path)
       | Some name, None ->
           Option.map
             (fun c -> (name, Dqc.Toffoli_scheme.prepare scheme c))
@@ -666,15 +677,8 @@ let analyze_cmd =
           print_endline (Dqc.Analysis.to_string (Dqc.Analysis.analyze ~mct c));
           print_newline ();
           print_endline (Lint.Resource.to_string summary);
-          let selected =
-            match Sim.Backend.select ~shots:1024 c with
-            | `Stabilizer -> "stabilizer"
-            | `Exact -> "exact"
-            | `Dense -> "dense"
-            | `Sparse -> "sparse"
-            | `Hybrid -> "hybrid"
-          in
-          Printf.printf "auto backend (1024 shots): %s\n" selected;
+          Printf.printf "auto backend (1024 shots): %s\n"
+            (Sim.Backend.engine_name (Sim.Backend.select ~shots:1024 c));
           let plan = Sim.Backend.segment_plan c in
           Printf.printf "segment engine plan: %s\n"
             (Sim.Backend.segment_plan_string plan);
@@ -745,11 +749,8 @@ let lint_cmd =
     let subject =
       match (bench, file) with
       | _, Some path ->
-          let ic = open_in path in
-          let len = in_channel_length ic in
-          let src = really_input_string ic len in
-          close_in ic;
-          Some (Filename.basename path, Circuit.Qasm.parse src, general_passes ())
+          let name, c = read_qasm path in
+          Some (name, c, general_passes ())
       | Some name, None -> (
           match benchmark_circuit name with
           | None ->
@@ -849,11 +850,7 @@ let verify_cmd =
     let subject =
       match (bench, file) with
       | _, Some path ->
-          let ic = open_in path in
-          let len = in_channel_length ic in
-          let src = really_input_string ic len in
-          close_in ic;
-          Some (Filename.basename path, Circuit.Qasm.parse src)
+          Some (read_qasm path)
       | Some name, None -> (
           match benchmark_circuit name with
           | None ->

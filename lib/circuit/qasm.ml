@@ -381,7 +381,9 @@ let parse ?roles source =
         r
     | None -> Array.make num_qubits Circ.Data
   in
-  Circ.create ~roles ~num_bits:st.num_bits (List.rev st.instrs)
+  (* an instruction outside the declared registers is malformed input *)
+  try Circ.create ~roles ~num_bits:st.num_bits (List.rev st.instrs)
+  with Invalid_argument msg -> raise (Parse_error msg)
 
 let to_string ?(name = "dqc_circuit") c =
   let buf = Buffer.create 512 in

@@ -19,7 +19,8 @@ exception Parse_error of string
     QASM carries no qubit-role information; [roles] overrides the
     default of every qubit being {!Circ.Data}.
 
-    @raise Parse_error on malformed input.
+    @raise Parse_error on malformed input, including an instruction
+    that addresses a qubit or bit outside the declared registers.
     @raise Invalid_argument when [roles] disagrees with the declared
     qubit count. *)
 val parse : ?roles:Circ.role array -> string -> Circ.t

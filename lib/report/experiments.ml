@@ -797,14 +797,7 @@ let sparsity_entry ~name ~scheme c =
   let summary = Lint.Resource.analyze c in
   let log2_bound = summary.Lint.Resource.log2_bound_peak in
   let log2_measured = measured_log2_peak c in
-  let engine =
-    match Sim.Backend.select ~shots:1024 c with
-    | `Stabilizer -> "stabilizer"
-    | `Exact -> "exact"
-    | `Dense -> "dense"
-    | `Sparse -> "sparse"
-    | `Hybrid -> "hybrid"
-  in
+  let engine = Sim.Backend.engine_name (Sim.Backend.select ~shots:1024 c) in
   {
     name;
     scheme;

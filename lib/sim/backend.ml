@@ -20,6 +20,13 @@ let policy_of_string s =
 
 let pp_policy fmt p = Format.pp_print_string fmt (policy_to_string p)
 
+let engine_name = function
+  | `Stabilizer -> "stabilizer"
+  | `Exact -> "exact"
+  | `Dense -> "dense"
+  | `Sparse -> "sparse"
+  | `Hybrid -> "hybrid"
+
 (* Per-circuit memo of the compiled program and the static resource
    summary, keyed on the physical circuit value: repeated [run]s of the
    same circuit pay for compilation and analysis once.  Keys are weak
@@ -65,20 +72,15 @@ let resource_summary c =
       s
 
 module Prefix = struct
-  type t = {
-    state : Statevector.t;
-    suffix : Instruction.t list;
-    suffix_program : Program.t;
-  }
+  let is_branch = function
+    | Instruction.Measure _ | Instruction.Reset _ -> true
+    | Instruction.Unitary _ | Instruction.Conditioned _
+    | Instruction.Barrier _ -> false
 
   let split c =
     let rec go acc = function
-      | (Instruction.Measure _ | Instruction.Reset _) :: _ as rest ->
-          (List.rev acc, rest)
-      | ((Instruction.Unitary _ | Instruction.Conditioned _
-         | Instruction.Barrier _) as i)
-        :: rest -> go (i :: acc) rest
-      | [] -> (List.rev acc, [])
+      | i :: rest when not (is_branch i) -> go (i :: acc) rest
+      | rest -> (List.rev acc, rest)
     in
     go [] (Circ.instructions c)
 
@@ -88,55 +90,12 @@ module Prefix = struct
      An all-branching circuit caches everything cacheable, hence 1.0. *)
   let fraction c =
     let prefix, suffix = split c in
+    let cached = List.length prefix in
     let unitary =
-      List.length prefix
-      + List.length
-          (List.filter
-             (function
-               | Instruction.Measure _ | Instruction.Reset _ -> false
-               | Instruction.Unitary _ | Instruction.Conditioned _
-               | Instruction.Barrier _ -> true)
-             suffix)
+      cached + List.length (List.filter (fun i -> not (is_branch i)) suffix)
     in
-    if unitary = 0 then 1.0
-    else float_of_int (List.length prefix) /. float_of_int unitary
-
-  (* The cache keys on compiled program segments: the whole circuit is
-     lowered once (through the per-circuit memo) and split at the first
-     measure/reset op (the same boundary as the instruction-level
-     [split] — fusion never crosses it), the prefix segment is executed
-     once here, and [run_shot] replays only the compiled suffix. *)
-  let prepare c =
-    Obs.with_span "backend.prefix.prepare" (fun () ->
-        let _, suffix = split c in
-        let program = compiled c in
-        let prefix_program, suffix_program = Program.split_prefix program in
-        let st = Program.fresh_state program in
-        Program.exec ~random:Program.no_random st prefix_program;
-        Obs.set_gauge "backend.prefix.fraction" (fraction c);
-        if Obs.Flight.enabled () then
-          Obs.Flight.record ~kind:"backend.prefix.prepared"
-            [ ("fraction", Obs.Json.Float (fraction c)) ];
-        { state = st; suffix; suffix_program })
-
-  let state t = t.state
-  let suffix t = t.suffix
-
-  let run_shot t ~rng =
-    let st = Statevector.copy t.state in
-    let random () = Random.State.float rng 1.0 in
-    Program.exec ~random st t.suffix_program;
-    Statevector.register st
+    if unitary = 0 then 1.0 else float_of_int cached /. float_of_int unitary
 end
-
-let branch_points c =
-  List.fold_left
-    (fun acc i ->
-      match i with
-      | Instruction.Measure _ | Instruction.Reset _ -> acc + 1
-      | Instruction.Unitary _ | Instruction.Conditioned _
-      | Instruction.Barrier _ -> acc)
-    0 (Circ.instructions c)
 
 (* The exact backend pays ~2^k statevector replays up front and then
    O(1) per shot, where k is the analyzer's count of measure/reset
@@ -156,12 +115,6 @@ let exact_tractable ~shots ~extra_branches c =
   || s.Lint.Resource.log2_bound_peak <= exact_auto_max_qubits)
   && k < Sys.int_size - 2
   && 1 lsl k <= max 64 (shots / 4)
-
-let check_dense_fits ~who c =
-  if Circ.num_qubits c > Statevector.max_qubits then
-    invalid_arg
-      (Printf.sprintf "Backend.run: %s backend capped at %d qubits (got %d)"
-         who Statevector.max_qubits (Circ.num_qubits c))
 
 (* ------------------------------------------------------------------ *)
 (* Per-segment engine planning                                        *)
@@ -218,11 +171,7 @@ let exact_representation c =
   else `Dense
 
 let segment_plan_string plan =
-  String.concat ","
-    (List.map
-       (fun p ->
-         match p.seg_engine with `Dense -> "dense" | `Sparse -> "sparse")
-       plan)
+  String.concat "," (List.map (fun p -> engine_name p.seg_engine) plan)
 
 (* Clifford routing under [Auto]: the whole-circuit scan is the cheap
    path; failing that, the analyzer's witness — the same circuit minus
@@ -237,109 +186,64 @@ let stabilizer_circuit c =
     then Some s.Lint.Resource.witness
     else None
 
-let check_sparse_fits c =
-  if Circ.num_qubits c > Sparse.max_qubits then
-    invalid_arg
-      (Printf.sprintf "Backend.run: sparse backend capped at %d qubits (got %d)"
-         Sparse.max_qubits (Circ.num_qubits c))
-
 (* [extra_branches] accounts for terminal measurements a measurement
    plan appends after selection (each at most one branch point). *)
 let select_gen ?(policy = Auto) ~shots ~extra_branches c =
   let engine =
     match policy with
-    | Statevector_dense ->
-        check_dense_fits ~who:"dense" c;
-        `Dense
-    | Sparse_statevector ->
-        check_sparse_fits c;
-        `Sparse
+    | Statevector_dense -> `Dense
+    | Sparse_statevector -> `Sparse
     | Stabilizer ->
         if not (Stabilizer.supports c) then
           raise
             (Stabilizer.Unsupported
                "Backend.run: stabilizer policy on a non-Clifford circuit");
         `Stabilizer
-    | Exact_branch ->
-        check_dense_fits ~who:"exact-branch" c;
-        `Exact
+    | Exact_branch -> `Exact
     | Auto ->
         if stabilizer_circuit c <> None then `Stabilizer
         else if exact_tractable ~shots ~extra_branches c then `Exact
-        else begin
-          (* per-segment planning: all-dense plans run the classic
-             dense path, all-sparse plans the sparse engine, mixed
-             plans the hybrid executor with representation handoffs *)
+        else
+          (* per-segment planning: all-dense plans run dense, all-sparse
+             plans sparse, mixed plans hybrid with representation
+             handoffs *)
           let plan = segment_plan c in
-          let sparse_segs =
-            List.length (List.filter (fun p -> p.seg_engine = `Sparse) plan)
-          in
-          if plan <> [] && sparse_segs = List.length plan then begin
-            check_sparse_fits c;
-            `Sparse
-          end
-          else if sparse_segs > 0 then `Hybrid
-          else begin
-            check_dense_fits ~who:"dense" c;
-            `Dense
-          end
-        end
+          let sparse p = p.seg_engine = `Sparse in
+          if plan <> [] && List.for_all sparse plan then `Sparse
+          else if List.exists sparse plan then `Hybrid
+          else `Dense
+  in
+  let fits who cap =
+    if Circ.num_qubits c > cap then
+      invalid_arg
+        (Printf.sprintf "Backend.run: %s backend capped at %d qubits (got %d)"
+           who cap (Circ.num_qubits c))
   in
   (match engine with
-  | `Stabilizer -> Obs.incr "backend.select.stabilizer"
-  | `Exact -> Obs.incr "backend.select.exact"
-  | `Dense -> Obs.incr "backend.select.dense"
-  | `Sparse -> Obs.incr "backend.select.sparse"
-  | `Hybrid -> Obs.incr "backend.select.hybrid");
+  | `Dense -> fits "dense" Statevector.max_qubits
+  | `Exact -> fits "exact-branch" Statevector.max_qubits
+  | `Sparse -> fits "sparse" Sparse.max_qubits
+  | `Stabilizer | `Hybrid -> ());
+  Obs.incr ("backend.select." ^ engine_name engine);
   engine
 
 let select ?policy ~shots c = select_gen ?policy ~shots ~extra_branches:0 c
 
-let engine_name = function
-  | `Stabilizer -> "stabilizer"
-  | `Exact -> "exact"
-  | `Dense -> "dense"
-  | `Sparse -> "sparse"
-  | `Hybrid -> "hybrid"
-
 (* ------------------------------------------------------------------ *)
-(* Sparse and hybrid dispatch                                         *)
+(* The statevector executor                                           *)
 
-(* Sparse twin of the dense prefix-cached dispatch: execute the
-   deterministic compiled prefix once on the sparse engine, replay
-   only the suffix per shot. *)
-let run_sparse ?domains ~seed ~width ~shots ~prefix_cache base =
-  let program = compiled base in
-  if prefix_cache then begin
-    let prefix_program, suffix_program = Program.split_prefix program in
-    let cached =
-      Sparse.create (Circ.num_qubits base) ~num_bits:(Circ.num_bits base)
-    in
-    Sparse.exec ~random:Program.no_random cached prefix_program;
-    Obs.incr ~n:shots "backend.prefix.hit";
-    Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->
-        let st = Sparse.copy cached in
-        Sparse.exec ~random:(fun () -> Random.State.float rng 1.0) st
-          suffix_program;
-        Sparse.register st)
-  end
-  else begin
-    Obs.incr ~n:shots "backend.prefix.miss";
-    Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->
-        Sparse.register (Sparse.run ~rng program))
-  end
-
-(* Hybrid execution threads one state through the analyzer's segments,
-   converting representation at engine boundaries.  Segments are
-   compiled from the instruction ranges of [Lint.Resource.analyze] —
-   the same boundary rule as [Program.split_prefix], so segment 0 is
-   exactly the deterministic prefix whenever the circuit opens with a
-   unitary run, and it is then executed once and shared across shots. *)
+(* Every dense, sparse and hybrid dispatch threads one state through a
+   list of [(engine, program)] segments, converting representation at
+   engine boundaries.  The deterministic prefix of the first segment
+   ({!Program.split_prefix}) is executed once and shared read-only
+   across shots; each shot replays only what follows it. *)
 type hstate = Hdense of State.t | Hsparse of Sparse.t
 
 let hcopy = function
   | Hdense d -> Hdense (State.copy d)
   | Hsparse s -> Hsparse (Sparse.copy s)
+
+let htag = function Hdense _ -> `Dense | Hsparse _ -> `Sparse
 
 let hregister = function
   | Hdense d -> State.register d
@@ -356,53 +260,100 @@ let hexec ~random h prog =
   | Hdense d -> Program.exec ~random d prog
   | Hsparse s -> Sparse.exec ~random s prog
 
-let run_hybrid ?domains ~seed ~width ~shots base =
-  let n = Circ.num_qubits base and nbits = Circ.num_bits base in
+let rec replay ~random h = function
+  | [] -> hregister h
+  | (tag, prog) :: rest ->
+      let h = hconvert h tag in
+      hexec ~random h prog;
+      replay ~random h rest
+
+let execute ?domains ~seed ~width ~shots ~prefix_cache base segs =
+  let fresh tag =
+    let n = Circ.num_qubits base and num_bits = Circ.num_bits base in
+    match tag with
+    | `Dense -> Hdense (State.create n ~num_bits)
+    | `Sparse -> Hsparse (Sparse.create n ~num_bits)
+  in
+  let tag0, prog0, rest =
+    match segs with
+    | (tag, prog) :: rest -> (tag, prog, rest)
+    | [] -> invalid_arg "Backend.execute: empty segment list"
+  in
+  let cached, per_shot =
+    if prefix_cache then
+      Obs.with_span "backend.prefix.prepare" (fun () ->
+          let prefix, suffix = Program.split_prefix prog0 in
+          let h = fresh tag0 in
+          hexec ~random:Program.no_random h prefix;
+          if Obs.enabled () || Obs.Flight.enabled () then begin
+            let f = Prefix.fraction base in
+            Obs.set_gauge "backend.prefix.fraction" f;
+            if Obs.Flight.enabled () then
+              Obs.Flight.record ~kind:"backend.prefix.prepared"
+                [ ("fraction", Obs.Json.Float f) ]
+          end;
+          (* counted once per dispatch, not per shot: a counter bump is a
+             name lookup in the domain buffer, too expensive for the
+             per-shot path under the <2% telemetry budget *)
+          Obs.incr ~n:shots "backend.prefix.hit";
+          (* an all-prefix first segment leaves nothing to replay: a
+             shot then starts from the cached state itself (or its
+             conversion), never from a copy of it *)
+          if Program.length suffix = 0 then (h, rest)
+          else (h, (tag0, suffix) :: rest))
+    else begin
+      if Obs.Flight.enabled () then
+        Obs.Flight.record ~kind:"backend.prefix.bypassed" [];
+      Obs.incr ~n:shots "backend.prefix.miss";
+      (fresh tag0, segs)
+    end
+  in
+  (* a shot's private state: when the first per-shot segment runs on
+     the other engine, the conversion reads the cached state without
+     mutating it, so it doubles as the copy *)
+  let shot_state =
+    match per_shot with
+    | [] -> fun () -> cached
+    | (tag, _) :: _ when tag <> htag cached -> fun () -> hconvert cached tag
+    | _ :: _ -> fun () -> hcopy cached
+  in
+  Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->
+      replay ~random:(fun () -> Random.State.float rng 1.0) (shot_state ())
+        per_shot)
+
+(* Hybrid segments: the analyzer's plan with adjacent same-engine
+   segments compiled together.  Their boundaries are measure/reset ops,
+   which fusion never crosses, so the op streams are unchanged; every
+   remaining boundary is a representation handoff, taken once per shot
+   (conversions happen at the same boundaries on every replay, so the
+   counters are bumped once per dispatch). *)
+let hybrid_segments ~shots base =
+  let n = Circ.num_qubits base and num_bits = Circ.num_bits base in
   let plan = segment_plan base in
   let instrs = Array.of_list (Circ.instructions base) in
+  let rec merge = function
+    | a :: b :: rest when a.seg_engine = b.seg_engine ->
+        merge ({ a with seg_stop = b.seg_stop } :: rest)
+    | a :: rest -> a :: merge rest
+    | [] -> []
+  in
   let segs =
     List.map
       (fun p ->
         ( p.seg_engine,
-          Program.compile_instructions ~num_qubits:n ~num_bits:nbits
+          Program.compile_instructions ~num_qubits:n ~num_bits
             (Array.to_list
                (Array.sub instrs p.seg_start (p.seg_stop - p.seg_start))) ))
-      plan
+      (merge plan)
   in
-  let fresh () =
+  (* merged, the engines alternate: each later segment is one handoff
+     into its engine *)
+  let into tag =
     match segs with
-    | (`Sparse, _) :: _ -> Hsparse (Sparse.create n ~num_bits:nbits)
-    | (`Dense, _) :: _ | [] -> Hdense (State.create n ~num_bits:nbits)
+    | [] -> 0
+    | _ :: later -> List.length (List.filter (fun (t, _) -> t = tag) later)
   in
-  (* segment 0 is cacheable iff it contains no measure/reset op *)
-  let cached, per_shot_segs =
-    match segs with
-    | (tag, prog0) :: rest
-      when Program.length (snd (Program.split_prefix prog0))
-           = 0 ->
-        let h = hconvert (fresh ()) tag in
-        hexec ~random:Program.no_random h prog0;
-        (h, rest)
-    | (_, _) :: _ | [] -> (fresh (), segs)
-  in
-  (* handoff accounting is static per shot: conversions happen at the
-     same boundaries every replay, so the counters are bumped once per
-     dispatch (the per-shot path stays counter-free) *)
-  let cached_tag =
-    match cached with Hdense _ -> `Dense | Hsparse _ -> `Sparse
-  in
-  let d2s, s2d =
-    List.fold_left
-      (fun (cur, (d2s, s2d)) (tag, _) ->
-        ( tag,
-          match (cur, tag) with
-          | `Dense, `Sparse -> (d2s + 1, s2d)
-          | `Sparse, `Dense -> (d2s, s2d + 1)
-          | `Dense, `Dense | `Sparse, `Sparse -> (d2s, s2d) ))
-      (cached_tag, (0, 0))
-      per_shot_segs
-    |> snd
-  in
+  let d2s = into `Sparse and s2d = into `Dense in
   if d2s > 0 then Obs.incr ~n:(d2s * shots) "backend.handoff.dense_to_sparse";
   if s2d > 0 then Obs.incr ~n:(s2d * shots) "backend.handoff.sparse_to_dense";
   if Obs.Flight.enabled () then
@@ -411,25 +362,7 @@ let run_hybrid ?domains ~seed ~width ~shots base =
         ("segments", Obs.Json.String (segment_plan_string plan));
         ("handoffs_per_shot", Obs.Json.Int (d2s + s2d));
       ];
-  (* a shot's private state: when the first per-shot segment runs on
-     the other engine, the conversion reads the cached state without
-     mutating it, so it doubles as the copy *)
-  let shot_state =
-    match per_shot_segs with
-    | (tag, _) :: _ when tag <> cached_tag -> fun () -> hconvert cached tag
-    | _ -> fun () -> hcopy cached
-  in
-  Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->
-      let random () = Random.State.float rng 1.0 in
-      let h =
-        List.fold_left
-          (fun h (tag, prog) ->
-            let h = hconvert h tag in
-            hexec ~random h prog;
-            h)
-          (shot_state ()) per_shot_segs
-      in
-      hregister h)
+  segs
 
 let run ?policy ?(seed = Runner.default_seed) ?domains ?plan
     ?(prefix_cache = true) ~shots c =
@@ -470,9 +403,9 @@ let run ?policy ?(seed = Runner.default_seed) ?domains ?plan
        ]
       @
       match exact_repr with
-      | Some `Dense -> [ ("exact_repr", Obs.Json.String "dense") ]
-      | Some `Sparse -> [ ("exact_repr", Obs.Json.String "sparse") ]
+      | Some r -> [ ("exact_repr", Obs.Json.String (engine_name r)) ]
       | None -> []);
+  let execute = execute ?domains ~seed ~width ~shots ~prefix_cache base in
   let dispatch_inner () =
     match engine with
     | `Stabilizer ->
@@ -499,28 +432,9 @@ let run ?policy ?(seed = Runner.default_seed) ?domains ?plan
         let sampler = Dist.sampler dist in
         Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->
             Dist.sample sampler rng)
-    | `Dense ->
-        if prefix_cache then begin
-          let cached = Prefix.prepare base in
-          (* counted once per dispatch, not per shot: a counter bump is
-             a name lookup in the domain buffer, too expensive for the
-             per-shot path under the <2% telemetry budget *)
-          Obs.incr ~n:shots "backend.prefix.hit";
-          Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->
-              Prefix.run_shot cached ~rng)
-        end
-        else begin
-          (* still compiled — one whole-circuit program replayed per
-             shot, bit-identical to the prefix-cached execution *)
-          if Obs.Flight.enabled () then
-            Obs.Flight.record ~kind:"backend.prefix.bypassed" [];
-          let program = compiled base in
-          Obs.incr ~n:shots "backend.prefix.miss";
-          Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->
-              Statevector.register (Program.run ~rng program))
-        end
-    | `Sparse -> run_sparse ?domains ~seed ~width ~shots ~prefix_cache base
-    | `Hybrid -> run_hybrid ?domains ~seed ~width ~shots base
+    | `Dense -> execute [ (`Dense, compiled base) ]
+    | `Sparse -> execute [ (`Sparse, compiled base) ]
+    | `Hybrid -> execute (hybrid_segments ~shots base)
   in
   (* Under [Auto] the typed dense-cap signal is a routing event, not an
      error: a dense attempt that outgrows [State.max_qubits] falls back
@@ -536,7 +450,7 @@ let run ?policy ?(seed = Runner.default_seed) ?domains ?plan
           if Obs.Flight.enabled () then
             Obs.Flight.record ~kind:"backend.fallback.sparse"
               [ ("qubits", Obs.Json.Int (Circ.num_qubits base)) ];
-          run_sparse ?domains ~seed ~width ~shots ~prefix_cache base)
+          execute [ (`Sparse, compiled base) ])
     | Some (Statevector_dense | Sparse_statevector | Stabilizer | Exact_branch)
       ->
         dispatch_inner ()

@@ -8,12 +8,11 @@ open Circuit
     returns an ordinary {!Runner.histogram}.
 
     Backends:
-    - {e dense statevector} — the general engine, one replay per shot,
-      accelerated by the shared-prefix cache (see {!Prefix});
-    - {e sparse statevector} — hash-map basis-amplitude storage
-      ({!Sparse}): memory and per-op work scale with the nonzero
-      count, which is what lets basis-sparse dynamic circuits (the
-      paper's dyn2 scheme) run past the dense 24-qubit cap;
+    - {e dense statevector} — the general engine, one replay per shot;
+    - {e sparse statevector} — basis-amplitude storage ({!Sparse}):
+      memory and per-op work scale with the nonzero count, which is
+      what lets basis-sparse dynamic circuits (the paper's dyn2
+      scheme) run past the dense 24-qubit cap;
     - {e stabilizer} — CHP tableau when the circuit is Clifford
       ({!Stabilizer.supports}); scales to hundreds of qubits;
     - {e exact branch} — when the measurement/reset count is small the
@@ -24,8 +23,15 @@ open Circuit
 
     [Auto] additionally plans {e per segment} (see {!segment_plan}):
     when the analyzer proves only part of the circuit basis-sparse,
-    the hybrid executor runs each segment on its best engine and
-    converts the state representation at the handoffs.
+    each segment runs on its best engine and the state representation
+    is converted at the handoffs.
+
+    Dense, sparse and hybrid runs share one executor: a list of
+    [(engine, program)] segments (a single one for dense and sparse)
+    whose deterministic leading prefix is simulated once per dispatch
+    (see {!Prefix}); each shot copies that state — or converts it,
+    when the next segment runs on the other engine — and replays the
+    remaining segments.
 
     Determinism: for a fixed [seed] the histogram is byte-identical
     regardless of [domains] and of the prefix cache, because every
@@ -55,45 +61,23 @@ val pp_policy : Format.formatter -> policy -> unit
 
     Every instruction before the first measurement/reset is
     deterministic (unitaries, barriers, and conditioned gates reading
-    the still-all-zero register), so the prefix state is simulated once
-    and only the suffix is replayed per shot.  On terminal-measurement
-    workloads (the paper's Tables I–II benchmarks run through a
-    {!Measurement_plan}) the whole circuit is prefix and a shot
-    collapses to copy + measure. *)
+    the still-all-zero register), so {!run} simulates that prefix once
+    per dispatch — on whichever statevector engine the first segment
+    runs on — and replays only the suffix per shot.  On
+    terminal-measurement workloads (the paper's Tables I–II benchmarks
+    run through a {!Measurement_plan}) the whole circuit is prefix and
+    a shot collapses to copy + measure. *)
 module Prefix : sig
-  type t
-
   (** Split at the first measurement/reset: [(prefix, suffix)]. *)
   val split : Circ.t -> Instruction.t list * Instruction.t list
 
   (** Share of the circuit's non-branching (unitary/barrier/conditioned)
       instructions that fall in the cached prefix — [1.0] exactly when
       every measurement is terminal.  Also published as the
-      [backend.prefix.fraction] telemetry gauge by {!prepare}. *)
+      [backend.prefix.fraction] telemetry gauge by a prefix-cached
+      {!run}. *)
   val fraction : Circ.t -> float
-
-  (** Compile the circuit and simulate the deterministic prefix
-      segment once; the cache keys on the compiled program's
-      prefix/suffix split ({!Program.split_prefix}).
-      @raise State.Dense_cap_exceeded beyond {!Statevector.max_qubits}
-      (under the [Auto] policy, {!run} catches it and falls back to
-      the sparse engine). *)
-  val prepare : Circ.t -> t
-
-  (** The cached state — shared read-only across shots and domains. *)
-  val state : t -> Statevector.t
-
-  val suffix : t -> Instruction.t list
-
-  (** [run_shot t ~rng] copies the cached state, replays the suffix
-      and returns the final register. *)
-  val run_shot : t -> rng:Random.State.t -> int
 end
-
-(** Measurement/reset instructions in the circuit — the {e syntactic}
-    branch-point count ([Auto] now uses the analyzer's semantic count,
-    {!Lint.Resource.summary}[.nondet_branches], instead). *)
-val branch_points : Circ.t -> int
 
 (** The circuit's static resource summary ({!Lint.Resource.analyze}),
     memoized per physical circuit value alongside the compiled program
@@ -136,6 +120,12 @@ val segment_plan : Circ.t -> segment_engine list
     event. *)
 val exact_representation : Circ.t -> [ `Dense | `Sparse ]
 
+(** ["dense" | "sparse" | "hybrid" | "stabilizer" | "exact"]: an engine's
+    name in telemetry ([backend.select.<engine>], [backend.run.<engine>])
+    and reports. *)
+val engine_name :
+  [< `Dense | `Sparse | `Hybrid | `Stabilizer | `Exact ] -> string
+
 (** ["dense,sparse,..."] — the plan's engines, comma-joined. *)
 val segment_plan_string : segment_engine list -> string
 
@@ -167,8 +157,8 @@ val select :
     measurements when given) on the selected backend, sharded across
     [domains] workers (default [Domain.recommended_domain_count ()]).
     [prefix_cache] (default [true]) enables the shared-prefix cache on
-    the dense backend; disabling it replays the full circuit per shot
-    and yields the same histogram bit-for-bit.
+    the dense, sparse and hybrid backends; disabling it replays the
+    full circuit per shot and yields the same histogram bit-for-bit.
 
     [seed] defaults to {!Runner.default_seed} — the constant shared
     with the serial engine.
@@ -180,11 +170,12 @@ val select :
 
     Telemetry (when an [Obs] collector is installed): a [backend.run]
     span (attrs: engine, shots, qubits) around the dispatch, counters
-    [backend.run.<engine>], [backend.shots], per-shot
-    [backend.prefix.hit] / [backend.prefix.miss], and the
-    [backend.prefix.fraction] gauge.  Dense, sparse and hybrid
-    dispatches execute compiled kernel programs ({!Program}) and
-    additionally bump [backend.run.program].  Hybrid dispatches count
+    [backend.run.<engine>] and [backend.shots].  Dense, sparse and
+    hybrid dispatches execute compiled kernel programs ({!Program}),
+    additionally bump [backend.run.program], count every shot into
+    [backend.prefix.hit] / [backend.prefix.miss], and, with the cache
+    on, run a [backend.prefix.prepare] span and set the
+    [backend.prefix.fraction] gauge.  Hybrid dispatches count
     per-shot representation conversions into
     [backend.handoff.dense_to_sparse] /
     [backend.handoff.sparse_to_dense] and record a

@@ -1,8 +1,8 @@
 open Circuit
 
 (* The engine abstraction: one signature every statevector-like
-   execution engine implements, so the shot engines (Runner, Parallel,
-   Backend) and the noisy-trajectory engine (Noise) can be written
+   execution engine implements, so the shot engines (Runner, Exact)
+   and the noisy-trajectory engine (Noise) can be written
    once against [S] instead of hard-coding the dense SoA storage.
 
    Instances:
@@ -46,15 +46,3 @@ module type S = sig
   val probabilities : state -> float array
   val nonzero_probabilities : state -> (int * float) list
 end
-
-type packed = Packed : (module S with type state = 's) * 's -> packed
-
-let pack (type s) (module E : S with type state = s) (st : s) =
-  Packed ((module E), st)
-
-let name (Packed ((module E), _)) = E.name
-let register (Packed ((module E), st)) = E.register st
-let copy (Packed ((module E), st)) = Packed ((module E), E.copy st)
-
-let exec ~random (Packed ((module E), st)) program =
-  E.exec ~random st program

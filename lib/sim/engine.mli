@@ -17,7 +17,10 @@ open Circuit
     {e nonzero} amplitude).
     {!Backend} picks between them — per whole circuit or per
     analyzer segment (hybrid execution) — and {!Runner} / {!Noise}
-    accept any instance through their [?engine] parameter.
+    accept any instance through their [?engine] parameter.  The
+    backend's executor holds the concrete state types rather than a
+    packed instance: a segment handoff converts one representation
+    into the other, which needs both types in view.
 
     Contract every instance honours, so shot streams are
     seed-deterministic {e across} engines: randomness is consumed
@@ -98,13 +101,3 @@ module type S = sig
       distribution extractor. *)
   val nonzero_probabilities : state -> (int * float) list
 end
-
-(** A state packed with its engine — what the hybrid executor threads
-    through segment boundaries. *)
-type packed = Packed : (module S with type state = 's) * 's -> packed
-
-val pack : (module S with type state = 's) -> 's -> packed
-val name : packed -> string
-val register : packed -> int
-val copy : packed -> packed
-val exec : random:(unit -> float) -> packed -> Program.t -> unit

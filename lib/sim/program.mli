@@ -62,8 +62,8 @@ val fused_count : t -> int
 val fallback_count : t -> int
 
 (** Split at the first measure/reset op: [(prefix, suffix)].  The
-    prefix is deterministic (no randomness), which is what the
-    {!Backend.Prefix} shot cache executes once and shares. *)
+    prefix is deterministic (no randomness), which is what
+    {!Backend.run}'s shot cache executes once and shares. *)
 val split_prefix : t -> t * t
 
 (** [apply st op] applies a unitary or conditioned op in place (a

@@ -230,6 +230,109 @@ let test_prefix_cache_equivalence () =
        (dj_and ()))
 
 (* ------------------------------------------------------------------ *)
+(* The statevector executor                                           *)
+
+(* A Table-I-style AND network under the dyn2 substitution: inputs
+   0..k-1, ladder ancillas k..2k-3.  The first [superposed] inputs are
+   H-prepared and measured mid-circuit into bits 1..superposed, the
+   rest X-prepared; the AND of all inputs is measured into bit 0. *)
+let and_ladder ~inputs ~superposed =
+  let open Circuit in
+  let k = inputs and h = superposed in
+  let nq = (2 * k) - 1 in
+  let b =
+    Circ.Builder.make ~roles:(Array.make nq Circ.Data) ~num_bits:(h + 1) ()
+  in
+  for q = 0 to h - 1 do
+    Circ.Builder.h b q
+  done;
+  for q = h to k - 1 do
+    Circ.Builder.x b q
+  done;
+  for q = 0 to h - 1 do
+    Circ.Builder.measure b ~qubit:q ~bit:(q + 1)
+  done;
+  Circ.Builder.ccx b 0 1 k;
+  for j = 1 to k - 2 do
+    Circ.Builder.ccx b (k + j - 1) (j + 1) (k + j)
+  done;
+  Circ.Builder.measure b ~qubit:(nq - 1) ~bit:0;
+  Dqc.Toffoli_scheme.prepare Dqc.Toffoli_scheme.Dynamic_2 (Circ.Builder.build b)
+
+(* Mixed sparsity: a 12-qubit superposition measured up front (dense
+   prefix), then a basis Toffoli with measure / reset / feed-forward
+   (sparse segments). *)
+let hybrid_witness () =
+  let open Circuit in
+  let b = Circ.Builder.make ~roles:(Array.make 15 Circ.Data) ~num_bits:13 () in
+  for q = 0 to 11 do
+    Circ.Builder.h b q
+  done;
+  for q = 0 to 11 do
+    Circ.Builder.measure b ~qubit:q ~bit:(q + 1)
+  done;
+  Circ.Builder.x b 12;
+  Circ.Builder.x b 13;
+  Circ.Builder.ccx b 12 13 14;
+  Circ.Builder.measure b ~qubit:14 ~bit:0;
+  Circ.Builder.reset b 14;
+  Circ.Builder.conditioned b ~bit:0 Circuit.Gate.X 14;
+  Circ.Builder.measure b ~qubit:14 ~bit:0;
+  Dqc.Toffoli_scheme.prepare Dqc.Toffoli_scheme.Dynamic_2 (Circ.Builder.build b)
+
+(* Every statevector dispatch (dense, sparse, hybrid) runs through one
+   prefix-cached executor: turning the cache off or changing the domain
+   count must leave the histogram byte-identical, every shot is either
+   a prefix hit or a miss, and the per-shot representation handoffs
+   do not depend on the cache. *)
+let test_executor_table () =
+  let shots = 64 in
+  let rows =
+    [
+      ("dyn2 DJ(AND), forced dense", Some Sim.Backend.Statevector_dense,
+       dyn2_and (), `Dense);
+      ("AND-7 ladder, auto", None, and_ladder ~inputs:7 ~superposed:6, `Sparse);
+      ("hybrid witness, auto", None, hybrid_witness (), `Hybrid);
+      ("AND-15 ladder, auto", None, and_ladder ~inputs:15 ~superposed:0,
+       `Sparse);
+    ]
+  in
+  List.iter
+    (fun (name, policy, c, engine) ->
+      check_bool (name ^ ": selected engine") true
+        (Sim.Backend.select ?policy ~shots c = engine);
+      let run prefix_cache domains =
+        Obs.with_collector (fun () ->
+            Sim.Backend.run ?policy ~seed:5 ~domains ~prefix_cache ~shots c)
+      in
+      let counter = Obs.Collector.counter in
+      let reference_obs, reference = run true 1 in
+      List.iter
+        (fun (prefix_cache, domains) ->
+          let row =
+            Printf.sprintf "%s, cache %b, %d domains" name prefix_cache
+              domains
+          in
+          let obs, h = run prefix_cache domains in
+          check_hist row reference h;
+          let hit = counter obs "backend.prefix.hit"
+          and miss = counter obs "backend.prefix.miss" in
+          check_int (row ^ ": hit + miss = shots") shots (hit + miss);
+          check_int (row ^ ": prefix hits")
+            (if prefix_cache then shots else 0)
+            hit;
+          List.iter
+            (fun handoff ->
+              check_int (row ^ ": " ^ handoff) (counter reference_obs handoff)
+                (counter obs handoff))
+            [
+              "backend.handoff.dense_to_sparse";
+              "backend.handoff.sparse_to_dense";
+            ])
+        [ (true, 1); (true, 3); (false, 1); (false, 3) ])
+    rows
+
+(* ------------------------------------------------------------------ *)
 (* Noise engine on the parallel/prefix machinery                      *)
 
 let test_noise_deterministic_across_domains () =
@@ -297,6 +400,11 @@ let () =
           Alcotest.test_case "split" `Quick test_prefix_split;
           Alcotest.test_case "cache equivalence" `Quick
             test_prefix_cache_equivalence;
+        ] );
+      ( "executor",
+        [
+          Alcotest.test_case "engines x cache x domains" `Quick
+            test_executor_table;
         ] );
       ( "noise",
         [

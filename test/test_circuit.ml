@@ -378,6 +378,17 @@ let test_qasm_parse_errors () =
   check_bool "bad number" true (bad "qubit[1] q;\nrz(zz) q[0];");
   check_bool "parameter on h" true (bad "qubit[1] q;\nh(0.5) q[0];")
 
+(* Syntactically fine, but the measurement targets a bit outside the
+   declared one-bit register: malformed input, not an internal error. *)
+let test_qasm_parse_out_of_range () =
+  Alcotest.check_raises "bit index past the register"
+    (Qasm.Parse_error
+       "Circ.create: ill-formed instruction measure q0 -> c3 (1 qubits, 1 bits)")
+    (fun () ->
+      ignore
+        (Qasm.parse
+           "OPENQASM 3.0;\nqubit[1] q;\nbit[1] c;\nc[3] = measure q[0];\n"))
+
 let gate_pool =
   Gate.[ H; X; Y; Z; S; Sdg; T; Tdg; V; Vdg; Rx 0.25; Rz (-1.5); Phase 0.75 ]
 
@@ -569,6 +580,8 @@ let () =
             test_qasm_roundtrip_dynamic;
           Alcotest.test_case "parse basics" `Quick test_qasm_parse_basics;
           Alcotest.test_case "parse errors" `Quick test_qasm_parse_errors;
+          Alcotest.test_case "parse out-of-range index" `Quick
+            test_qasm_parse_out_of_range;
           QCheck_alcotest.to_alcotest prop_qasm_roundtrip;
           QCheck_alcotest.to_alcotest prop_qasm_parser_total;
         ] );
