@@ -58,7 +58,9 @@ kernel-smoke:
 # Static lint gate: every Table II benchmark and a spread of generated
 # AND_/OR_/NAND_/MAJ_<n> oracles must compile to a lint-clean dynamic
 # circuit under both schemes, and the negative corpus in examples/
-# must be rejected with a non-zero exit.
+# must be rejected with a non-zero exit.  Malformed QASM must exit 3
+# from lint/verify/analyze, and a negative --shots must be a usage
+# error (exit 124) in every subcommand that takes it.
 LINT_BENCHES = AND NAND OR NOR IMPLY_1 IMPLY_2 INHIB_1 INHIB_2 CARRY \
   AND_4 AND_6 AND_8 OR_4 OR_6 NAND_4 NAND_6 MAJ_5 MAJ_7
 lint:
@@ -89,7 +91,14 @@ lint:
 	      echo "lint: $$cmd --file $$f exited $$code, want 3"; exit 1; fi; \
 	  done; \
 	done; \
-	echo "lint: malformed QASM input exits 3 from lint, verify and analyze"
+	echo "lint: malformed QASM input exits 3 from lint, verify and analyze"; \
+	for cmd in fig7 "simulate AND" "stats AND" "profile AND"; do \
+	  code=0; dune exec --no-build bin/dqc_cli.exe -- $$cmd --shots=-5 \
+	    >/dev/null 2>&1 || code=$$?; \
+	  if [ $$code -ne 124 ]; then \
+	    echo "lint: $$cmd --shots=-5 exited $$code, want 124"; exit 1; fi; \
+	done; \
+	echo "lint: negative --shots is a usage error (exit 124) in fig7, simulate, stats and profile"
 
 # Net source lines (.ml + .mli) per top-level source directory.
 loc:

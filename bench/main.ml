@@ -600,68 +600,16 @@ let run_opt_gate () =
       so the two streams differ), and its wall clock beats forced
       dense;
    6. hybrid wall clock — the mixed-sparsity witness under Auto (dense
-      prefix, per-shot handoff, sparse segments) beats the forced dense
-      engine. *)
+      prefix converted to sparse once per dispatch, each shot a copy
+      of the converted state through the sparse segments) beats the
+      forced dense engine.  The handoff counter counts one
+      dense->sparse handoff per shot, whether a conversion or a copy
+      of the converted prefix serves it. *)
 
 let sparse_gate_json_path = "BENCH_sparse.json"
 
-(* A Table-I-style AND network under the dyn2 substitution: inputs
-   0..k-1, ladder ancillas k..2k-3, the AND of all inputs
-   accumulating on the last ancilla, measured into bit 0.  The first
-   [superposed] inputs are H-prepared and measured mid-circuit, which
-   defeats the exact branching engine (2^superposed leaves) while
-   keeping the static amplitude bound at [superposed]; the rest are
-   X-prepared, so the ladder itself stays in the computational
-   basis.  [superposed = 0] is the fully deterministic wide family. *)
-let and_ladder_dyn2 ~inputs ~superposed =
-  let open Circuit in
-  let k = inputs in
-  let nq = (2 * k) - 1 in
-  let h = min superposed k in
-  let b =
-    Circ.Builder.make ~roles:(Array.make nq Circ.Data) ~num_bits:(h + 1) ()
-  in
-  for q = 0 to h - 1 do
-    Circ.Builder.h b q
-  done;
-  for q = h to k - 1 do
-    Circ.Builder.x b q
-  done;
-  for q = 0 to h - 1 do
-    Circ.Builder.measure b ~qubit:q ~bit:(q + 1)
-  done;
-  Circ.Builder.ccx b 0 1 k;
-  for j = 1 to k - 2 do
-    Circ.Builder.ccx b (k + j - 1) (j + 1) (k + j)
-  done;
-  Circ.Builder.measure b ~qubit:(nq - 1) ~bit:0;
-  Dqc.Toffoli_scheme.prepare Dqc.Toffoli_scheme.Dynamic_2 (Circ.Builder.build b)
-
-(* Mixed sparsity: 12 qubits in uniform superposition, measured up
-   front (amplitude bound 12 against a 16-qubit register — inside the
-   dense margin), then a basis Toffoli with measure / reset /
-   feed-forward on the remaining 3 (bound ~0 — sparse).  Auto must
-   plan this per segment and hand the state representation off
-   mid-shot. *)
-let hybrid_witness () =
-  let open Circuit in
-  let b =
-    Circ.Builder.make ~roles:(Array.make 15 Circ.Data) ~num_bits:13 ()
-  in
-  for q = 0 to 11 do
-    Circ.Builder.h b q
-  done;
-  for q = 0 to 11 do
-    Circ.Builder.measure b ~qubit:q ~bit:(q + 1)
-  done;
-  Circ.Builder.x b 12;
-  Circ.Builder.x b 13;
-  Circ.Builder.ccx b 12 13 14;
-  Circ.Builder.measure b ~qubit:14 ~bit:0;
-  Circ.Builder.reset b 14;
-  Circ.Builder.conditioned b ~bit:0 Gate.X 14;
-  Circ.Builder.measure b ~qubit:14 ~bit:0;
-  Dqc.Toffoli_scheme.prepare Dqc.Toffoli_scheme.Dynamic_2 (Circ.Builder.build b)
+let and_ladder_dyn2 = Algorithms.Mct_bench.and_ladder_dyn2
+let hybrid_witness = Algorithms.Mct_bench.hybrid_witness
 
 let run_sparse_gate () =
   section

@@ -107,6 +107,22 @@ let benchmark_circuit name =
     | Some c -> Some c
     | None -> Option.map Algorithms.Dj.circuit (find_oracle name)
 
+(* Reject negative shot counts at parse time, as [domains_conv] does
+   worker counts: Sim.Parallel.run's Invalid_argument is not a usage
+   error. *)
+let shots_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | Some n ->
+        Error (`Msg (Printf.sprintf "--shots must be non-negative (got %d)" n))
+    | None -> Error (`Msg (Printf.sprintf "invalid shot count %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let shots_arg ~default ~doc =
+  Arg.(value & opt shots_conv default & info [ "shots" ] ~doc)
+
 (* ------------------------------------------------------------------ *)
 (* tables / fig7 / equivalence                                        *)
 
@@ -120,9 +136,7 @@ let tables_cmd =
     Term.(const run $ const ())
 
 let fig7_cmd =
-  let shots =
-    Arg.(value & opt int 1024 & info [ "shots" ] ~doc:"Shots per benchmark")
-  in
+  let shots = shots_arg ~default:1024 ~doc:"Shots per benchmark" in
   let seed = Arg.(value & opt int 0xF1607 & info [ "seed" ] ~doc:"RNG seed") in
   let run shots seed =
     print_string (Report.Experiments.fig7_report ~shots ~seed ())
@@ -357,7 +371,7 @@ let export_telemetry ?trace ?metrics ?flight collector =
     flight
 
 let simulate_cmd =
-  let shots = Arg.(value & opt int 1024 & info [ "shots" ] ~doc:"Shot count") in
+  let shots = shots_arg ~default:1024 ~doc:"Shot count" in
   let dynamic =
     Arg.(value & flag & info [ "dynamic" ] ~doc:"Simulate the DQC instead")
   in
@@ -427,7 +441,7 @@ let stats_cmd =
             "Benchmark to profile (default AND_9 — the 10-qubit DJ \
              acceptance workload; see transform for the name grammar)")
   in
-  let shots = Arg.(value & opt int 1024 & info [ "shots" ] ~doc:"Shot count") in
+  let shots = shots_arg ~default:1024 ~doc:"Shot count" in
   let seed =
     Arg.(
       value
@@ -532,9 +546,7 @@ let profile_cmd =
       & info [] ~docv:"BENCHMARK"
           ~doc:"Benchmark to profile repeatedly (see transform)")
   in
-  let shots =
-    Arg.(value & opt int 256 & info [ "shots" ] ~doc:"Shots per repetition")
-  in
+  let shots = shots_arg ~default:256 ~doc:"Shots per repetition" in
   let repeat =
     Arg.(
       value & opt int 20

@@ -92,5 +92,45 @@ let adaptive_parity n =
   Circ.Builder.measure b ~qubit:parity ~bit:1;
   Circ.Builder.build b
 
+let and_ladder_dyn2 ~inputs ~superposed =
+  let k = inputs in
+  let nq = (2 * k) - 1 in
+  let h = min superposed k in
+  let b =
+    Circ.Builder.make ~roles:(Array.make nq Circ.Data) ~num_bits:(h + 1) ()
+  in
+  for q = 0 to h - 1 do
+    Circ.Builder.h b q
+  done;
+  for q = h to k - 1 do
+    Circ.Builder.x b q
+  done;
+  for q = 0 to h - 1 do
+    Circ.Builder.measure b ~qubit:q ~bit:(q + 1)
+  done;
+  Circ.Builder.ccx b 0 1 k;
+  for j = 1 to k - 2 do
+    Circ.Builder.ccx b (k + j - 1) (j + 1) (k + j)
+  done;
+  Circ.Builder.measure b ~qubit:(nq - 1) ~bit:0;
+  Dqc.Toffoli_scheme.prepare Dqc.Toffoli_scheme.Dynamic_2 (Circ.Builder.build b)
+
+let hybrid_witness () =
+  let b = Circ.Builder.make ~roles:(Array.make 15 Circ.Data) ~num_bits:13 () in
+  for q = 0 to 11 do
+    Circ.Builder.h b q
+  done;
+  for q = 0 to 11 do
+    Circ.Builder.measure b ~qubit:q ~bit:(q + 1)
+  done;
+  Circ.Builder.x b 12;
+  Circ.Builder.x b 13;
+  Circ.Builder.ccx b 12 13 14;
+  Circ.Builder.measure b ~qubit:14 ~bit:0;
+  Circ.Builder.reset b 14;
+  Circ.Builder.conditioned b ~bit:0 Gate.X 14;
+  Circ.Builder.measure b ~qubit:14 ~bit:0;
+  Dqc.Toffoli_scheme.prepare Dqc.Toffoli_scheme.Dynamic_2 (Circ.Builder.build b)
+
 let suite =
   [ and_n 2; and_n 3; and_n 4; and_n 5; majority_n 3; majority_n 5 ]

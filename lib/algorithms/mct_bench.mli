@@ -41,6 +41,30 @@ val xor_n : int -> Oracle.t
     @raise Invalid_argument unless 1 <= n <= 20. *)
 val adaptive_parity : int -> Circuit.Circ.t
 
+(** [and_ladder_dyn2 ~inputs ~superposed] : a complete dynamic circuit
+    (not an oracle) — a Table-I-style AND network as a Toffoli ladder
+    under the dyn2 substitution ({!Dqc.Toffoli_scheme.Dynamic_2}).
+    Inputs [0..inputs-1], ladder ancillas [inputs..2*inputs-2]; the
+    AND of all inputs accumulates on the last ancilla and is measured
+    into bit 0.  The first [superposed] inputs (clamped to [inputs])
+    are H-prepared and measured mid-circuit into bits [1..superposed],
+    which defeats the exact branching engine ([2^superposed] leaves)
+    while keeping the static amplitude bound at [superposed]; the rest
+    are X-prepared, so the ladder itself stays in the computational
+    basis.  [superposed = 0] is the fully deterministic wide family
+    the sparse engine runs past the dense qubit cap.  The shared
+    sparse-engine workload of the tests and the bench. *)
+val and_ladder_dyn2 : inputs:int -> superposed:int -> Circuit.Circ.t
+
+(** [hybrid_witness ()] : the mixed-sparsity dynamic circuit (16
+    qubits after the dyn2 substitution, 13 bits) — 12 qubits in
+    uniform superposition measured up front into bits 1..12 (a dense
+    prefix: amplitude bound 12 inside the dense margin), then a basis
+    Toffoli with measure / reset / feed-forward on the other 3 (sparse
+    segments; bit 0 ends 1).  [Sim.Backend]'s Auto plans it per
+    segment and hands the state representation off mid-shot. *)
+val hybrid_witness : unit -> Circuit.Circ.t
+
 (** The benchmark set used in the future-work experiment:
     AND_n for n = 2..5 plus MAJ_3 and MAJ_5. *)
 val suite : Oracle.t list

@@ -235,15 +235,14 @@ let select ?policy ~shots c = select_gen ?policy ~shots ~extra_branches:0 c
 (* Every dense, sparse and hybrid dispatch threads one state through a
    list of [(engine, program)] segments, converting representation at
    engine boundaries.  The deterministic prefix of the first segment
-   ({!Program.split_prefix}) is executed once and shared read-only
-   across shots; each shot replays only what follows it. *)
+   ({!Program.split_prefix}) is executed once, and converted once if
+   the first per-shot segment runs on the other engine; each shot
+   copies that state and replays only what follows it. *)
 type hstate = Hdense of State.t | Hsparse of Sparse.t
 
 let hcopy = function
   | Hdense d -> Hdense (State.copy d)
   | Hsparse s -> Hsparse (Sparse.copy s)
-
-let htag = function Hdense _ -> `Dense | Hsparse _ -> `Sparse
 
 let hregister = function
   | Hdense d -> State.register d
@@ -296,11 +295,16 @@ let execute ?domains ~seed ~width ~shots ~prefix_cache base segs =
              name lookup in the domain buffer, too expensive for the
              per-shot path under the <2% telemetry budget *)
           Obs.incr ~n:shots "backend.prefix.hit";
-          (* an all-prefix first segment leaves nothing to replay: a
-             shot then starts from the cached state itself (or its
-             conversion), never from a copy of it *)
-          if Program.length suffix = 0 then (h, rest)
-          else (h, (tag0, suffix) :: rest))
+          let per_shot =
+            if Program.length suffix = 0 then rest
+            else (tag0, suffix) :: rest
+          in
+          (* when the first per-shot segment runs on the other engine,
+             the cached state is converted here, once per dispatch, and
+             every shot copies the converted state *)
+          match per_shot with
+          | (tag, _) :: _ -> (hconvert h tag, per_shot)
+          | [] -> (h, per_shot))
     else begin
       if Obs.Flight.enabled () then
         Obs.Flight.record ~kind:"backend.prefix.bypassed" [];
@@ -308,13 +312,11 @@ let execute ?domains ~seed ~width ~shots ~prefix_cache base segs =
       (fresh tag0, segs)
     end
   in
-  (* a shot's private state: when the first per-shot segment runs on
-     the other engine, the conversion reads the cached state without
-     mutating it, so it doubles as the copy *)
+  (* a shot's private state: with nothing left to replay, a shot only
+     reads the cached state's register *)
   let shot_state =
     match per_shot with
     | [] -> fun () -> cached
-    | (tag, _) :: _ when tag <> htag cached -> fun () -> hconvert cached tag
     | _ :: _ -> fun () -> hcopy cached
   in
   Parallel.run ?domains ~seed ~width ~shots (fun ~rng ~index:_ ->
@@ -324,9 +326,11 @@ let execute ?domains ~seed ~width ~shots ~prefix_cache base segs =
 (* Hybrid segments: the analyzer's plan with adjacent same-engine
    segments compiled together.  Their boundaries are measure/reset ops,
    which fusion never crosses, so the op streams are unchanged; every
-   remaining boundary is a representation handoff, taken once per shot
-   (conversions happen at the same boundaries on every replay, so the
-   counters are bumped once per dispatch). *)
+   remaining boundary is a representation handoff, counted once per
+   shot per boundary crossed, whether a conversion serves it or (at a
+   boundary right after the cached prefix) a copy of the prefix state
+   [execute] converted once.  Every replay crosses the same boundaries,
+   so the counters are bumped once per dispatch. *)
 let hybrid_segments ~shots base =
   let n = Circ.num_qubits base and num_bits = Circ.num_bits base in
   let plan = segment_plan base in

@@ -37,6 +37,7 @@ module type S = sig
   val apply : state -> Program.op -> unit
   val apply_gate : state -> Gate.t -> int -> unit
   val apply_kraus1 : state -> Linalg.Cmat.t -> int -> unit
+  val collapse : state -> int -> bool -> float -> float
   val project : state -> int -> bool -> float
   val flip : state -> int -> unit
   val measure : random:float -> state -> qubit:int -> bit:int -> bool

@@ -5,7 +5,7 @@ open Circuit
     [S] is the one signature every statevector-like engine implements:
     state lifecycle (create/copy), the compiled-op replay
     ({!S.apply}/{!S.exec} over {!Program} ops), the collapse
-    primitives ({!S.measure}/{!S.reset}/{!S.project}), the
+    primitives ({!S.measure}/{!S.reset}/{!S.collapse}/{!S.project}), the
     probability/amplitude observers the samplers and differential
     tests consume, and the boxed-matrix entry points the
     noisy-trajectory engine needs ({!S.apply_gate},
@@ -73,8 +73,17 @@ module type S = sig
       quantum-trajectory primitive (see {!Statevector.apply_kraus1}). *)
   val apply_kraus1 : state -> Linalg.Cmat.t -> int -> unit
 
-  (** Collapse a qubit onto an outcome; returns the branch probability.
+  (** [collapse st q outcome p1] collapses qubit [q] onto [outcome]
+      given its already-computed [p1 = prob_one st q], so a caller that
+      decided the outcome from [p1] (measure, reset, an exact fork, a
+      damping jump) pays one Born scan, not two; returns the branch
+      probability.
       @raise State.Zero_probability_branch when that probability is 0. *)
+  val collapse : state -> int -> bool -> float -> float
+
+  (** [project st q outcome] is [collapse st q outcome (prob_one st q)].
+      @raise State.Zero_probability_branch when the branch probability
+      is 0. *)
   val project : state -> int -> bool -> float
 
   (** In-place Pauli-X (exact amplitude swap / key remap). *)

@@ -46,7 +46,7 @@ module Make (E : Engine.S) = struct
       let p1 = E.prob_one st qubit in
       let branch outcome p st' =
         if p *. prob > prune then begin
-          ignore (E.project st' qubit outcome);
+          ignore (E.collapse st' qubit outcome p1);
           on_branch st' outcome;
           go st' (prob *. p) rest
         end

@@ -72,9 +72,10 @@ let run_ops (type s) (module E : Engine.S with type state = s) ~rng ~model
      operator diag(1, sqrt(1-gamma)) and renormalize *)
   let maybe_amp_damp ~gamma q =
     if gamma > 0. then begin
-      let p_jump = gamma *. E.prob_one st q in
+      let p1 = E.prob_one st q in
+      let p_jump = gamma *. p1 in
       if p_jump > 0. && Random.State.float rng 1.0 < p_jump then begin
-        ignore (E.project st q true);
+        ignore (E.collapse st q true p1);
         E.apply_gate st Gate.X q
       end
       else

@@ -310,9 +310,8 @@ let prob_one st q =
   done;
   !acc
 
-let project st q outcome =
+let collapse st q outcome p1 =
   let bit = 1 lsl q in
-  let p1 = prob_one st q in
   let p = if outcome then p1 else 1. -. p1 in
   if p <= 1e-15 then
     raise (State.Zero_probability_branch { qubit = q; outcome });
@@ -328,13 +327,15 @@ let project st q outcome =
   done;
   p
 
+let project st q outcome = collapse st q outcome (prob_one st q)
+
 let flip st q = kx st ~bit:(1 lsl q) ~cmask:0
 
 let measure ~random st ~qubit ~bit =
   Obs.incr "sim.sparse.measure";
   let p1 = prob_one st qubit in
   let outcome = random < p1 in
-  ignore (project st qubit outcome);
+  ignore (collapse st qubit outcome p1);
   set_bit st bit outcome;
   outcome
 
@@ -342,7 +343,7 @@ let reset ~random st q =
   Obs.incr "sim.sparse.reset";
   let p1 = prob_one st q in
   let outcome = random < p1 in
-  ignore (project st q outcome);
+  ignore (collapse st q outcome p1);
   if outcome then flip st q
 
 (* ------------------------------------------------------------------ *)
@@ -478,6 +479,7 @@ module Sparse_engine : Engine.S with type state = t = struct
   let apply = apply
   let apply_gate = apply_gate
   let apply_kraus1 = apply_kraus1
+  let collapse = collapse
   let project = project
   let flip = flip
   let measure = measure

@@ -63,9 +63,16 @@ val amplitude : t -> int -> Complex.t
 (** Probability that measuring [q] yields 1. *)
 val prob_one : t -> int -> float
 
-(** [project st q outcome] collapses and renormalizes; returns the
-    branch probability.
+(** [collapse st q outcome p1] collapses and renormalizes, given
+    [p1 = prob_one st q] already computed (one Born scan per collapse);
+    returns the branch probability.  Same contract as
+    {!State.collapse}.
     @raise State.Zero_probability_branch when that probability is 0. *)
+val collapse : t -> int -> bool -> float -> float
+
+(** [project st q outcome] is [collapse st q outcome (prob_one st q)].
+    @raise State.Zero_probability_branch when the branch probability
+    is 0. *)
 val project : t -> int -> bool -> float
 
 (** In-place Pauli-X: an exact key remap, never changes [nnz]. *)

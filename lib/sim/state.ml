@@ -71,9 +71,8 @@ let prob_one st q =
 
 exception Zero_probability_branch of { qubit : int; outcome : bool }
 
-let project st q outcome =
+let collapse st q outcome p1 =
   let bit = 1 lsl q in
-  let p1 = prob_one st q in
   let p = if outcome then p1 else 1. -. p1 in
   if p <= 1e-15 then raise (Zero_probability_branch { qubit = q; outcome });
   let s = 1. /. sqrt p in
@@ -89,6 +88,8 @@ let project st q outcome =
     end
   done;
   p
+
+let project st q outcome = collapse st q outcome (prob_one st q)
 
 (* In-place Pauli-X on qubit [q]: exact amplitude swap, used by reset
    (and as the [Program] X kernel's uncontrolled fast path). *)
@@ -114,7 +115,7 @@ let measure ~random st ~qubit ~bit =
   Obs.incr "sim.statevector.measure";
   let p1 = prob_one st qubit in
   let outcome = random < p1 in
-  ignore (project st qubit outcome);
+  ignore (collapse st qubit outcome p1);
   set_bit st bit outcome;
   outcome
 
@@ -122,7 +123,7 @@ let reset ~random st q =
   Obs.incr "sim.statevector.reset";
   let p1 = prob_one st q in
   let outcome = random < p1 in
-  ignore (project st q outcome);
+  ignore (collapse st q outcome p1);
   if outcome then flip st q
 
 let probabilities st =

@@ -66,9 +66,16 @@ val prob_one : t -> int -> float
     zero Born probability. *)
 exception Zero_probability_branch of { qubit : int; outcome : bool }
 
-(** [project st q outcome] collapses qubit [q] and renormalizes;
-    returns the probability the branch had.
+(** [collapse st q outcome p1] collapses qubit [q] onto [outcome] and
+    renormalizes, given [p1 = prob_one st q] already computed: one Born
+    scan per collapse instead of two.  Returns the probability the
+    branch had ([p1], or [1 - p1] for outcome 0).  A [p1] other than
+    [prob_one st q] leaves the state unnormalized.
     @raise Zero_probability_branch when that probability is 0. *)
+val collapse : t -> int -> bool -> float -> float
+
+(** [project st q outcome] is [collapse st q outcome (prob_one st q)].
+    @raise Zero_probability_branch when the branch probability is 0. *)
 val project : t -> int -> bool -> float
 
 (** In-place Pauli-X on a qubit (exact amplitude swap). *)

@@ -133,6 +133,7 @@ module Dense_engine : Engine.S with type state = State.t = struct
   let apply = Program.apply
   let apply_gate = apply_gate
   let apply_kraus1 = apply_kraus1
+  let collapse = State.collapse
   let project = State.project
   let flip = State.flip
   let measure = State.measure

@@ -232,53 +232,10 @@ let test_prefix_cache_equivalence () =
 (* ------------------------------------------------------------------ *)
 (* The statevector executor                                           *)
 
-(* A Table-I-style AND network under the dyn2 substitution: inputs
-   0..k-1, ladder ancillas k..2k-3.  The first [superposed] inputs are
-   H-prepared and measured mid-circuit into bits 1..superposed, the
-   rest X-prepared; the AND of all inputs is measured into bit 0. *)
-let and_ladder ~inputs ~superposed =
-  let open Circuit in
-  let k = inputs and h = superposed in
-  let nq = (2 * k) - 1 in
-  let b =
-    Circ.Builder.make ~roles:(Array.make nq Circ.Data) ~num_bits:(h + 1) ()
-  in
-  for q = 0 to h - 1 do
-    Circ.Builder.h b q
-  done;
-  for q = h to k - 1 do
-    Circ.Builder.x b q
-  done;
-  for q = 0 to h - 1 do
-    Circ.Builder.measure b ~qubit:q ~bit:(q + 1)
-  done;
-  Circ.Builder.ccx b 0 1 k;
-  for j = 1 to k - 2 do
-    Circ.Builder.ccx b (k + j - 1) (j + 1) (k + j)
-  done;
-  Circ.Builder.measure b ~qubit:(nq - 1) ~bit:0;
-  Dqc.Toffoli_scheme.prepare Dqc.Toffoli_scheme.Dynamic_2 (Circ.Builder.build b)
-
-(* Mixed sparsity: a 12-qubit superposition measured up front (dense
-   prefix), then a basis Toffoli with measure / reset / feed-forward
-   (sparse segments). *)
-let hybrid_witness () =
-  let open Circuit in
-  let b = Circ.Builder.make ~roles:(Array.make 15 Circ.Data) ~num_bits:13 () in
-  for q = 0 to 11 do
-    Circ.Builder.h b q
-  done;
-  for q = 0 to 11 do
-    Circ.Builder.measure b ~qubit:q ~bit:(q + 1)
-  done;
-  Circ.Builder.x b 12;
-  Circ.Builder.x b 13;
-  Circ.Builder.ccx b 12 13 14;
-  Circ.Builder.measure b ~qubit:14 ~bit:0;
-  Circ.Builder.reset b 14;
-  Circ.Builder.conditioned b ~bit:0 Circuit.Gate.X 14;
-  Circ.Builder.measure b ~qubit:14 ~bit:0;
-  Dqc.Toffoli_scheme.prepare Dqc.Toffoli_scheme.Dynamic_2 (Circ.Builder.build b)
+(* The dyn2 AND ladder and the mixed-sparsity hybrid witness, shared
+   with the bench (see Algorithms.Mct_bench). *)
+let and_ladder = Algorithms.Mct_bench.and_ladder_dyn2
+let hybrid_witness = Algorithms.Mct_bench.hybrid_witness
 
 (* Every statevector dispatch (dense, sparse, hybrid) runs through one
    prefix-cached executor: turning the cache off or changing the domain

@@ -218,51 +218,10 @@ let test_conversions_roundtrip () =
 (* ------------------------------------------------------------------ *)
 (* Exact branch enumeration on the sparse representation               *)
 
-(* A Table-I-style AND network under the dyn2 substitution: inputs
-   0..k-1, ladder ancillas k..2k-3.  The first [superposed] inputs are
-   H-prepared and measured mid-circuit into bits 1..superposed, the
-   rest X-prepared; the AND of all inputs is measured into bit 0. *)
-let and_ladder ~inputs ~superposed =
-  let k = inputs and h = superposed in
-  let nq = (2 * k) - 1 in
-  let b =
-    Circ.Builder.make ~roles:(Array.make nq Circ.Data) ~num_bits:(h + 1) ()
-  in
-  for q = 0 to h - 1 do
-    Circ.Builder.h b q
-  done;
-  for q = h to k - 1 do
-    Circ.Builder.x b q
-  done;
-  for q = 0 to h - 1 do
-    Circ.Builder.measure b ~qubit:q ~bit:(q + 1)
-  done;
-  Circ.Builder.ccx b 0 1 k;
-  for j = 1 to k - 2 do
-    Circ.Builder.ccx b (k + j - 1) (j + 1) (k + j)
-  done;
-  Circ.Builder.measure b ~qubit:(nq - 1) ~bit:0;
-  Dqc.Toffoli_scheme.prepare Dqc.Toffoli_scheme.Dynamic_2 (Circ.Builder.build b)
-
-(* Mixed sparsity: 12 qubits in uniform superposition measured up
-   front, then a basis Toffoli with measure / reset / feed-forward on
-   the other 3. *)
-let hybrid_witness () =
-  let b = Circ.Builder.make ~roles:(Array.make 15 Circ.Data) ~num_bits:13 () in
-  for q = 0 to 11 do
-    Circ.Builder.h b q
-  done;
-  for q = 0 to 11 do
-    Circ.Builder.measure b ~qubit:q ~bit:(q + 1)
-  done;
-  Circ.Builder.x b 12;
-  Circ.Builder.x b 13;
-  Circ.Builder.ccx b 12 13 14;
-  Circ.Builder.measure b ~qubit:14 ~bit:0;
-  Circ.Builder.reset b 14;
-  Circ.Builder.conditioned b ~bit:0 Gate.X 14;
-  Circ.Builder.measure b ~qubit:14 ~bit:0;
-  Dqc.Toffoli_scheme.prepare Dqc.Toffoli_scheme.Dynamic_2 (Circ.Builder.build b)
+(* The dyn2 AND ladder and the mixed-sparsity hybrid witness, shared
+   with the bench (see Algorithms.Mct_bench). *)
+let and_ladder = Algorithms.Mct_bench.and_ladder_dyn2
+let hybrid_witness = Algorithms.Mct_bench.hybrid_witness
 
 (* The narrow ladders Auto routes to the exact engine. *)
 let exact_ladders =
@@ -708,6 +667,125 @@ let test_index_allocation () =
     true (measure_bytes < 4096.)
 
 (* ------------------------------------------------------------------ *)
+(* One Born scan per collapse                                          *)
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let branch f =
+  match f () with
+  | p -> Ok p
+  | exception (Sim.State.Zero_probability_branch _ as e) -> Error e
+
+let same_branch msg a b =
+  match (a, b) with
+  | Ok pa, Ok pb ->
+      check_bool (Printf.sprintf "%s: %h = %h" msg pa pb) true (same_float pa pb)
+  | Error ea, Error eb ->
+      check_bool (msg ^ ": same exception") true (ea = eb)
+  | Ok _, Error _ | Error _, Ok _ -> Alcotest.fail (msg ^ ": one raised")
+
+(* [collapse st q outcome (prob_one st q)] is [project st q outcome]
+   bit for bit on both representations: the same returned probability,
+   amplitudes and register, and the same [Zero_probability_branch] on
+   an impossible outcome.  The states are random dynamic circuits'
+   final states, so every qubit is tried both in superposition and in
+   a definite basis state. *)
+let test_collapse_matches_project () =
+  let rng = Random.State.make [| 0xC011A95E |] in
+  let impossible = ref 0 in
+  for k = 0 to 79 do
+    let c = random_dynamic_circuit rng in
+    let p = Sim.Program.compile c in
+    let d = Sim.Program.run ~rng:(Random.State.make [| k |]) p in
+    let sp = Sim.Sparse.run ~rng:(Random.State.make [| k |]) p in
+    let n = Circ.num_qubits c in
+    for q = 0 to n - 1 do
+      List.iter
+        (fun outcome ->
+          let msg = Printf.sprintf "circuit %d, qubit %d -> %b" k q outcome in
+          let a = Sim.State.copy d and b = Sim.State.copy d in
+          let ra = branch (fun () -> Sim.State.project a q outcome) in
+          let rb =
+            branch (fun () ->
+                Sim.State.collapse b q outcome (Sim.State.prob_one b q))
+          in
+          if Result.is_error ra then incr impossible;
+          same_branch ("dense " ^ msg) ra rb;
+          let va = Sim.State.amplitudes a and vb = Sim.State.amplitudes b in
+          let same part = Array.for_all2 same_float (part va) (part vb) in
+          check_bool ("dense amplitudes " ^ msg) true
+            (same Linalg.Cvec.re && same Linalg.Cvec.im);
+          check_int ("dense register " ^ msg) (Sim.State.register a)
+            (Sim.State.register b);
+          let a = Sim.Sparse.copy sp and b = Sim.Sparse.copy sp in
+          same_branch ("sparse " ^ msg)
+            (branch (fun () -> Sim.Sparse.project a q outcome))
+            (branch (fun () ->
+                 Sim.Sparse.collapse b q outcome (Sim.Sparse.prob_one b q)));
+          check_int ("sparse nnz " ^ msg) (Sim.Sparse.nnz a) (Sim.Sparse.nnz b);
+          let ok = ref true in
+          for i = 0 to (1 lsl n) - 1 do
+            let x = Sim.Sparse.amplitude a i and y = Sim.Sparse.amplitude b i in
+            if
+              not
+                (same_float x.Complex.re y.Complex.re
+                && same_float x.Complex.im y.Complex.im)
+            then ok := false
+          done;
+          check_bool ("sparse amplitudes " ^ msg) true !ok;
+          check_int ("sparse register " ^ msg) (Sim.Sparse.register a)
+            (Sim.Sparse.register b))
+        [ false; true ]
+    done
+  done;
+  check_bool
+    (Printf.sprintf "%d impossible outcomes exercised" !impossible)
+    true (!impossible > 0)
+
+(* The hybrid witness's dense prefix is converted to sparse once per
+   dispatch and every shot copies the converted state, so a shot's
+   marginal allocation stays near one [Sparse.copy] of that state.  A
+   per-shot [Sparse.of_state] allocates about twice as much: it grows
+   its slot arrays by doubling. *)
+let test_hybrid_witness_allocation () =
+  let c = hybrid_witness () in
+  let alloc shots =
+    let before = Gc.allocated_bytes () in
+    ignore (Sim.Backend.run ~seed:3 ~domains:1 ~shots c);
+    Gc.allocated_bytes () -. before
+  in
+  (* warm the per-circuit compile and analysis memo *)
+  ignore (alloc 64);
+  let a64 = alloc 64 in
+  let per_shot = (alloc 256 -. a64) /. 192. in
+  let n = Circ.num_qubits c and num_bits = Circ.num_bits c in
+  let first =
+    match Sim.Backend.segment_plan c with
+    | p :: _ -> p
+    | [] -> Alcotest.fail "empty segment plan"
+  in
+  let prefix, _ =
+    Sim.Program.split_prefix
+      (Sim.Program.compile_instructions ~num_qubits:n ~num_bits
+         (List.filteri
+            (fun i _ ->
+              i >= first.Sim.Backend.seg_start && i < first.Sim.Backend.seg_stop)
+            (Circ.instructions c)))
+  in
+  let d = Sim.State.create n ~num_bits in
+  Sim.Program.exec ~random:Sim.Program.no_random d prefix;
+  let converted = Sim.Sparse.of_state d in
+  let before = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (Sim.Sparse.copy converted));
+  let copy_bytes = Gc.allocated_bytes () -. before in
+  check_int "converted prefix entries" 4096 (Sim.Sparse.nnz converted);
+  check_bool
+    (Printf.sprintf "%.0f bytes per shot <= 1.25 x %.0f (one Sparse.copy)"
+       per_shot copy_bytes)
+    true
+    (per_shot <= 1.25 *. copy_bytes)
+
+(* ------------------------------------------------------------------ *)
 (* Golden shot streams                                                 *)
 
 (* Auto's histograms at seed 3, recorded on the hash-table-indexed
@@ -847,6 +925,13 @@ let () =
           Alcotest.test_case "body bounds sound" `Quick test_body_bounds_sound;
           Alcotest.test_case "witness plan and histogram" `Quick
             test_hybrid_witness_plan;
+          Alcotest.test_case "witness allocation per shot" `Quick
+            test_hybrid_witness_allocation;
+        ] );
+      ( "collapse",
+        [
+          Alcotest.test_case "collapse = project, dense and sparse" `Quick
+            test_collapse_matches_project;
         ] );
       ( "index",
         [
